@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 /// over, the approximation direction and the powerset member budget. The query *name* is
 /// deliberately absent — two differently-named registrations of the same predicate share one
 /// synthesis.
-pub(crate) type SynthCacheKey = (PredId, SecretLayout, ApproxKind, Option<usize>);
+type SynthCacheKey = (PredId, SecretLayout, ApproxKind, Option<usize>);
 
 /// A cached synthesis result together with the metadata needed to persist and re-load it
 /// (the interned key alone is not portable across stores, so the canonical predicate tree is
@@ -191,8 +191,8 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         SharedSynthCache::with_store(TermStore::new())
     }
 
-    /// Creates an empty shared cache around a caller-configured term store (e.g. one built with
-    /// [`TermStore::with_min_memo_depth`] — the deployment layer's `box_memo_min_depth` knob).
+    /// Creates an empty shared cache around a caller-supplied term store (e.g. one pre-seeded
+    /// with interned predicates, whose ids stay valid in the cache's store).
     pub fn with_store(store: TermStore) -> Self {
         SharedSynthCache {
             inner: Arc::new(Inner {
@@ -600,9 +600,11 @@ mod tests {
 
     #[test]
     fn with_store_carries_the_configured_term_store() {
-        let store = anosy_logic::TermStore::with_min_memo_depth(3);
+        let mut store = anosy_logic::TermStore::new();
+        let id = store.intern_pred(query(200).pred());
         let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::with_store(store);
-        assert_eq!(cache.store_snapshot().min_memo_depth(), 3);
+        assert_eq!(cache.store_snapshot().pred_to_tree(id), *query(200).pred());
+        assert_eq!(cache.intern_pred(query(200).pred()), id, "seeded ids stay valid");
         assert!(cache.is_empty());
     }
 

@@ -8,11 +8,6 @@
 //! element-for-element identical to calling [`AnosySession::downgrade`] in a loop (including
 //! duplicate secrets in one batch: occurrences of the same secret are chained in order on one
 //! worker, because the i-th downgrade of a secret refines the posterior of the (i-1)-th).
-//!
-//! [`downgrade_many`] — one secret against a query set — is the transposed API. Its chain is
-//! inherently sequential (each query refines the prior the next one sees), so it costs one
-//! worker; it exists so callers can express both batch shapes uniformly and so the sequential
-//! dependency is documented in exactly one place.
 
 use crate::ShardPool;
 
@@ -218,48 +213,6 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
         .collect()
 }
 
-/// Downgrades one secret against a sequence of registered queries, in order. Equivalent to the
-/// corresponding loop of [`AnosySession::downgrade`] calls — the chain is sequential by nature
-/// (each authorized answer refines the prior the next query is judged against), so this runs on
-/// the calling thread; batch-level parallelism comes from [`downgrade_batch`].
-pub fn downgrade_many<D: AbstractDomain>(
-    session: &mut AnosySession<D>,
-    secret: &Point,
-    query_names: &[&str],
-) -> Vec<Result<bool, AnosyError>> {
-    let policy = session.policy_handle();
-    let layout = session.layout().clone();
-    let mut prior = session.knowledge_of(secret);
-    let mut results = Vec::with_capacity(query_names.len());
-    let (mut authorized, mut refused) = (0u64, 0u64);
-    for name in query_names {
-        let Some(qinfo) = session.query_info(name) else {
-            results.push(Err(AnosyError::UnknownQuery { name: name.to_string() }));
-            continue;
-        };
-        if !layout.admits(secret) {
-            results.push(Err(AnosyError::SecretOutsideLayout));
-            continue;
-        }
-        match downgrade_step(policy.as_ref(), qinfo, &prior, secret) {
-            Ok((response, post)) => {
-                prior = post;
-                authorized += 1;
-                results.push(Ok(response));
-            }
-            Err(e) => {
-                refused += 1;
-                results.push(Err(e));
-            }
-        }
-    }
-    // As in `decide_chain`: refusals never touch the prior, so after any authorized step
-    // `prior` is exactly the knowledge the sequential loop committed last.
-    let posterior = (authorized > 0).then_some(prior);
-    session.commit_batch_outcome_tcb(secret.clone(), posterior, authorized, refused);
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,21 +364,5 @@ mod tests {
         let mut session = session_with(&[(200, 200)]);
         assert!(downgrade_batch(&pool, &mut session, &[], "nearby_200_200").is_empty());
         assert_eq!(session.stats().downgrades_authorized, 0);
-    }
-
-    #[test]
-    fn many_matches_the_sequential_loop_exactly() {
-        let mut batched = session_with(&[(200, 200), (300, 200), (400, 200)]);
-        let mut looped = session_with(&[(200, 200), (300, 200), (400, 200)]);
-        let secret = Point::new(vec![300, 200]);
-        let names = ["nearby_200_200", "no_such_query", "nearby_300_200", "nearby_400_200"];
-
-        let many_results = downgrade_many(&mut batched, &secret, &names);
-        let loop_results: Vec<_> =
-            names.iter().map(|n| looped.downgrade(&Protected::new(secret.clone()), n)).collect();
-
-        assert_same(&many_results, &loop_results);
-        assert_eq!(batched.stats(), looped.stats());
-        assert_eq!(batched.knowledge_of(&secret).size(), looped.knowledge_of(&secret).size());
     }
 }

@@ -16,18 +16,17 @@
 //! * `--layout "<name:lo:hi> ..."` — the secret space served (required);
 //! * `--domain interval|powerset` — the knowledge domain (default `interval`);
 //! * `--workers N` — shard-pool width (default: available parallelism);
-//! * `--box-memo-min-depth N` — the shared store's `(id, box)` memo threshold;
 //! * `--warm-start PATH` — load a synthesis cache before serving;
-//! * `--verify-on-load` — re-verify every warm-start entry with the solver
-//!   ([`anosy_serve::Deployment::warm_start_verified`]);
+//! * `--verify-on-load` — with `--warm-start` or `--journal`: re-verify every loaded entry
+//!   with the solver ([`anosy_serve::Deployment::warm_start_verified`]);
 //! * `--save-on-exit PATH` — persist the synthesis cache after the last request;
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
 //!   `PATH.snapshot` + `PATH` (journal replay, torn-tail tolerant, composing with
 //!   `--verify-on-load`), then append every newly synthesized entry to `PATH` as it commits.
 //!   Recovery reports as a `# journal recovered replayed=N torn=N` line;
-//! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — when journal appends
-//!   reach the OS (default `every-entry`); `every-entry-fsync` additionally `fsync`s every
-//!   append to the device, the strongest rung;
+//! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — with `--journal`: when
+//!   journal appends reach the OS (default `every-entry`); `every-entry-fsync` additionally
+//!   `fsync`s every append to the device, the strongest rung;
 //! * `--compact-every N` — with `--journal`: every `N` server ticks, fold the journal into its
 //!   snapshot while serving continues (no stop-the-world);
 //! * `--ticked` — accumulate requests and tick only on blank lines, quiescence timers and
@@ -98,7 +97,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
-         [--workers N] [--box-memo-min-depth N] [--warm-start PATH [--verify-on-load]] \
+         [--workers N] [--warm-start PATH [--verify-on-load]] \
          [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
          [--compact-every N]] [--ticked] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
@@ -116,7 +115,7 @@ fn parse_options() -> Options {
     let mut verify_on_load = false;
     let mut save_on_exit = None;
     let mut journal = None;
-    let mut journal_flush = FlushPolicy::EveryEntry;
+    let mut journal_flush = None;
     let mut compact_every = None;
     let mut ticked = false;
     let mut listen = None;
@@ -145,10 +144,6 @@ fn parse_options() -> Options {
                 let workers = value(&mut i).parse().unwrap_or_else(|_| usage());
                 config = config.with_workers(workers);
             }
-            "--box-memo-min-depth" => {
-                let depth = value(&mut i).parse().unwrap_or_else(|_| usage());
-                config = config.with_box_memo_min_depth(depth);
-            }
             "--io-log-cap" => {
                 let cap = value(&mut i).parse().unwrap_or_else(|_| usage());
                 config = config.with_io_log_cap(cap);
@@ -160,7 +155,7 @@ fn parse_options() -> Options {
             "--save-on-exit" => save_on_exit = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal-flush" => {
-                journal_flush = FlushPolicy::parse(&value(&mut i)).unwrap_or_else(|| usage());
+                journal_flush = Some(FlushPolicy::parse(&value(&mut i)).unwrap_or_else(|| usage()));
             }
             "--compact-every" => {
                 compact_every = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
@@ -183,15 +178,21 @@ fn parse_options() -> Options {
     if (accept.is_some() || tick_ms.is_some() || reactors > 1) && listen.is_none() {
         usage();
     }
+    if verify_on_load && warm_start.is_none() && journal.is_none() {
+        usage();
+    }
     match journal {
         Some(path) => {
-            let mut journal = JournalConfig::new(path).with_flush(journal_flush);
+            let mut journal = JournalConfig::new(path);
+            if let Some(flush) = journal_flush {
+                journal = journal.with_flush(flush);
+            }
             if let Some(ticks) = compact_every {
                 journal = journal.with_compact_every(ticks);
             }
             config = config.with_journal(journal);
         }
-        None if compact_every.is_some() => usage(),
+        None if compact_every.is_some() || journal_flush.is_some() => usage(),
         None => {}
     }
     Options {

@@ -8,7 +8,7 @@ use anosy_core::{
     SynthesizeInto,
 };
 use anosy_domains::AbstractDomain;
-use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats, TermStore};
+use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, QueryDef, Synthesizer};
 use std::fmt;
@@ -105,14 +105,10 @@ impl<D: AbstractDomain> Deployment<D> {
     /// Creates a deployment serving secrets of `layout`.
     pub fn new(layout: SecretLayout, config: ServeConfig) -> Self {
         let pool = Arc::new(ShardPool::new(config.workers));
-        let store = match config.box_memo_min_depth {
-            Some(depth) => TermStore::with_min_memo_depth(depth),
-            None => TermStore::new(),
-        };
         Deployment {
             layout,
             config,
-            shared: SharedSynthCache::with_store(store),
+            shared: SharedSynthCache::new(),
             pool,
             journal: Arc::new(OnceLock::new()),
             saves_skipped: Arc::new(AtomicU64::new(0)),
@@ -214,17 +210,6 @@ impl<D: AbstractDomain> Deployment<D> {
         D: Send + Sync + 'static,
     {
         batch::downgrade_batch_fused(&self.pool, groups)
-    }
-
-    /// Downgrades one secret against a query set, in order (see
-    /// [`batch::downgrade_many`]).
-    pub fn downgrade_many(
-        &self,
-        session: &mut AnosySession<D>,
-        secret: &Point,
-        query_names: &[&str],
-    ) -> Vec<Result<bool, AnosyError>> {
-        batch::downgrade_many(session, secret, query_names)
     }
 
     /// Counts the models of `pred` in `space` with the sharded parallel driver (identical to the
@@ -492,6 +477,7 @@ mod tests {
     use super::*;
     use anosy_core::MinSizePolicy;
     use anosy_domains::IntervalDomain;
+    use anosy_ifc::Protected;
     use anosy_logic::IntExpr;
 
     fn layout() -> SecretLayout {
@@ -566,8 +552,8 @@ mod tests {
             .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
             .unwrap();
         let secret = Point::new(vec![250, 200]);
-        let warm = batch::downgrade_many(&mut warm_session, &secret, &["nearby_200_200"]);
-        let cold = batch::downgrade_many(&mut cold_session, &secret, &["nearby_200_200"]);
+        let warm = warm_session.downgrade(&Protected::new(secret.clone()), "nearby_200_200");
+        let cold = cold_session.downgrade(&Protected::new(secret.clone()), "nearby_200_200");
         assert_eq!(warm, cold);
         assert_eq!(
             warm_session.knowledge_of(&secret).size(),

@@ -238,15 +238,6 @@ impl<D: AbstractDomain> Frontend<D> {
     /// The protocol-level snapshot a [`ServeRequest::Stats`] would answer with right now —
     /// also the per-shard input of [`crate::reactor::fold_stats`].
     pub fn snapshot(&self) -> StatsSnapshot {
-        let store = self.deployment.store_stats();
-        let mut memo_depth = [[0u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS];
-        for (bucket, row) in memo_depth.iter_mut().enumerate() {
-            *row = [
-                store.box_memo_depth_hits[bucket],
-                store.box_memo_depth_misses[bucket],
-                store.box_memo_depth_bypassed[bucket],
-            ];
-        }
         StatsSnapshot {
             open_sessions: self.sessions.len(),
             ticks: self.stats.ticks,
@@ -258,9 +249,6 @@ impl<D: AbstractDomain> Frontend<D> {
             denials: self.stats.denials,
             reactors: self.reactors,
             shard: self.shard,
-            memo_depth,
-            memo_min_depth: store.box_memo_min_depth,
-            memo_suggested_depth: anosy_logic::suggested_min_memo_depth(&store),
             journal: {
                 let journal = self.deployment.journal_stats();
                 [journal.appended, journal.compacted, journal.replayed, journal.torn]
@@ -508,30 +496,25 @@ where
                 ServeResponse::SessionOpened { session: id }
             }
             ServeRequest::RegisterQuery { query, kind, members } => {
-                // Re-registering an identical query is the steady-state pattern when many
-                // tenants each register the slice of a shared palette they use: every open
-                // session already holds the exact cached approximation (sessions opened since
-                // the first registration replayed it from the registry), so the per-session
-                // broadcast would re-install bit-identical `QInfo`s at O(open sessions) cost.
-                // One shared-cache lookup keeps the deployment's hit/miss aggregates honest.
-                if self
-                    .registry
-                    .get(query.name())
-                    .is_some_and(|(q, k, m)| *q == query && *k == kind && *m == members)
-                {
-                    if let Err(e) = self.deployment.register_query(&query, kind, members) {
-                        return ServeResponse::Rejected(Denial::new(
-                            DenialCode::Internal,
-                            e.to_string(),
-                        ));
-                    }
-                    return ServeResponse::QueryRegistered { name: query.name().to_string() };
-                }
                 if let Err(e) = self.deployment.register_query(&query, kind, members) {
                     return ServeResponse::Rejected(Denial::new(
                         DenialCode::Internal,
                         e.to_string(),
                     ));
+                }
+                // Re-registering an identical query is the steady-state pattern when many
+                // tenants each register the slice of a shared palette they use: every open
+                // session already holds the exact cached approximation (sessions opened since
+                // the first registration replayed it from the registry), so the per-session
+                // broadcast would re-install bit-identical `QInfo`s at O(open sessions) cost.
+                // The shared-cache lookup above keeps the deployment's hit/miss aggregates
+                // honest.
+                if self
+                    .registry
+                    .get(query.name())
+                    .is_some_and(|(q, k, m)| *q == query && *k == kind && *m == members)
+                {
+                    return ServeResponse::QueryRegistered { name: query.name().to_string() };
                 }
                 for open in self.sessions.values_mut() {
                     if let Err(e) = open.session.register_cached(&query, kind, members) {

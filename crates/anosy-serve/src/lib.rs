@@ -114,7 +114,7 @@ pub mod server;
 pub mod sim;
 pub mod wire;
 
-pub use batch::{downgrade_batch, downgrade_batch_fused, downgrade_many, FusedGroup};
+pub use batch::{downgrade_batch, downgrade_batch_fused, FusedGroup};
 pub use config::ServeConfig;
 pub use deployment::{Deployment, RecoveryOutcome, ServeStats, WarmStartOutcome};
 pub use error::ServeError;
@@ -130,8 +130,8 @@ pub use proto::{
 };
 pub use reactor::{fold_server_stats, fold_stats, merge_io_logs, shard_of, ReactorPool};
 pub use server::{
-    Event, IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, StdioTransport,
-    TcpTransport, Token, TranscriptEvent, Transport, IO_LOG_CAP,
+    Event, IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, StdioTransport, Token,
+    TranscriptEvent, Transport, IO_LOG_CAP,
 };
 pub use sim::SimNet;
 

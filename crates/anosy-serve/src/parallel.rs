@@ -92,8 +92,10 @@ pub fn par_count_models(
 }
 
 /// Checks whether `pred` holds on every point of `space` by sharding sub-boxes across the pool.
-/// The outcome matches [`Solver::check_validity`]: valid iff valid on every shard, otherwise the
-/// first shard's counterexample (in deterministic chunk order).
+/// The verdict agrees with [`Solver::check_validity`]: valid iff `pred` is valid on every shard.
+/// When it is not, the result is the counterexample of the first failing shard in chunk order —
+/// deterministic for a given pool width, but not necessarily the point the sequential solver
+/// would report, since each shard searches its own sub-box.
 ///
 /// # Errors
 ///

@@ -24,7 +24,7 @@
 //! produces — which is why the whole server can run inside `cargo test` on
 //! [`SimNet`](crate::SimNet), the seeded in-memory transport, and be replayed byte-identically
 //! from a seed (`tests/sim_chaos.rs`). The same reactor serves real sockets
-//! ([`TcpTransport`]) and stdin/stdout ([`StdioTransport`]) in the `anosy-served` binary; the
+//! ([`PollTransport`]) and stdin/stdout ([`StdioTransport`]) in the `anosy-served` binary; the
 //! response-level determinism guarantee (element-wise identical to sequential
 //! [`anosy_core::AnosySession`] replay) is unchanged from the frontend because the reactor adds
 //! no protocol semantics of its own.
@@ -86,7 +86,7 @@ pub enum Event {
 
 /// A source and sink of connection events — the only nondeterministic half of the server.
 ///
-/// Implementations: [`TcpTransport`] (real sockets), [`StdioTransport`] (the classic
+/// Implementations: [`PollTransport`] (real sockets), [`StdioTransport`] (the classic
 /// stdin/stdout pipe as a single-connection transport) and [`SimNet`](crate::SimNet) (seeded
 /// deterministic simulation for tests).
 pub trait Transport {
@@ -922,18 +922,19 @@ impl Transport for StdioTransport {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport: std-only nonblocking sockets.
+// TCP connections: std-only nonblocking sockets.
 // ---------------------------------------------------------------------------
 
-/// How long [`TcpTransport::close`] keeps retrying to flush a closing connection's queued
+/// How long [`PollTransport`]'s close keeps retrying to flush a closing connection's queued
 /// responses before giving up on the peer.
 const CLOSE_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
-/// How long the poll loop sleeps when nothing is readable (std has no portable readiness API,
-/// so the listener is polled; half a millisecond keeps idle CPU negligible without hurting
-/// request latency at serving scale).
+/// How long the fallback poll loop sleeps when nothing is readable (used where epoll is
+/// unavailable: the listener and connections are scanned; half a millisecond keeps idle CPU
+/// negligible without hurting request latency at serving scale).
 const POLL_IDLE_SLEEP: Duration = Duration::from_micros(500);
 
+/// One accepted socket of a [`PollTransport`].
 struct TcpConn {
     stream: TcpStream,
     /// Responses not yet accepted by the kernel (nonblocking writes are partial by design).
@@ -943,138 +944,6 @@ struct TcpConn {
     /// drain `out`, is never read again, and is dropped when drained or at the deadline —
     /// inside the normal poll loop, so a peer that stopped reading cannot stall the reactor.
     closing: Option<Instant>,
-}
-
-/// A std-only nonblocking TCP listener transport: `accept` becomes [`Event::Opened`], readable
-/// bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`] (half-closed peers
-/// still receive their final responses), and read/write errors become per-connection
-/// [`Event::Failed`] — never process failures.
-pub struct TcpTransport {
-    listener: TcpListener,
-    conns: BTreeMap<u64, TcpConn>,
-    next_token: u64,
-    /// `Some(n)`: stop accepting after `n` connections and finish once all are closed
-    /// (`--accept N`). `None`: serve forever.
-    accept_budget: Option<usize>,
-    accepted: usize,
-    /// Quiescence timer: emit [`Event::TimerTick`] after this much idleness (`--tick-ms`).
-    tick_interval: Option<Duration>,
-    last_activity: Instant,
-    /// Failures noticed during [`Transport::send`], surfaced at the next poll.
-    pending: Vec<Event>,
-}
-
-impl TcpTransport {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and returns the listening transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind/configure error; callers report it and exit.
-    pub fn bind(
-        addr: &str,
-        accept_budget: Option<usize>,
-        tick_interval: Option<Duration>,
-    ) -> std::io::Result<TcpTransport> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(TcpTransport {
-            listener,
-            conns: BTreeMap::new(),
-            next_token: 0,
-            accept_budget,
-            accepted: 0,
-            tick_interval,
-            last_activity: Instant::now(),
-            pending: Vec::new(),
-        })
-    }
-
-    /// The bound address (the actual port when bound to port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-name lookup error.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    fn accepting(&self) -> bool {
-        match self.accept_budget {
-            Some(budget) => self.accepted < budget,
-            None => true,
-        }
-    }
-
-    fn poll_accept(&mut self, events: &mut Vec<Event>) {
-        while self.accepting() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.accepted += 1;
-                    let conn = TcpConn { stream, out: Vec::new(), read_eof: false, closing: None };
-                    self.conns.insert(token, conn);
-                    events.push(Event::Opened(Token(token)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // A broken listener: stop accepting, keep serving what is open.
-                Err(_) => {
-                    self.accept_budget = Some(self.accepted);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Flushes queued writes, retires draining (closing) connections, and reads available
-    /// bytes on every live connection, in token order.
-    fn poll_conns(&mut self, events: &mut Vec<Event>) {
-        let mut failed: Vec<(u64, String)> = Vec::new();
-        let mut done: Vec<u64> = Vec::new();
-        for (&token, conn) in self.conns.iter_mut() {
-            let flushed = flush_some(conn);
-            if let Some(deadline) = conn.closing {
-                // Half of the close protocol: drain what the reactor queued, then drop. A
-                // flush error, an empty buffer or the deadline all retire the connection —
-                // the reactor already considers it gone, so no event is emitted.
-                if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
-                    done.push(token);
-                }
-                continue;
-            }
-            if let Err(reason) = flushed {
-                failed.push((token, reason));
-                continue;
-            }
-            if conn.read_eof {
-                continue;
-            }
-            let mut buf = [0u8; 65536];
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_eof = true;
-                    events.push(Event::HalfClosed(Token(token)));
-                }
-                Ok(n) => events.push(Event::Data(Token(token), buf[..n].to_vec())),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => failed.push((token, format!("read error: {e}"))),
-            }
-        }
-        for token in done {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        for (token, reason) in failed {
-            self.conns.remove(&token);
-            events.push(Event::Failed(Token(token), reason));
-        }
-    }
 }
 
 /// Writes as much of the connection's queued output as the kernel accepts right now.
@@ -1093,57 +962,8 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
     Ok(())
 }
 
-impl Transport for TcpTransport {
-    fn poll(&mut self) -> Vec<Event> {
-        loop {
-            let mut events = std::mem::take(&mut self.pending);
-            self.poll_accept(&mut events);
-            self.poll_conns(&mut events);
-            if !events.is_empty() {
-                self.last_activity = Instant::now();
-                return events;
-            }
-            if !self.accepting() && self.conns.is_empty() {
-                return Vec::new();
-            }
-            if let Some(interval) = self.tick_interval {
-                if self.last_activity.elapsed() >= interval {
-                    self.last_activity = Instant::now();
-                    return vec![Event::TimerTick];
-                }
-            }
-            std::thread::sleep(POLL_IDLE_SLEEP);
-        }
-    }
-
-    fn send(&mut self, token: Token, bytes: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&token.0) else { return };
-        conn.out.extend_from_slice(bytes);
-        if let Err(reason) = flush_some(conn) {
-            self.conns.remove(&token.0);
-            self.pending.push(Event::Failed(token, reason));
-        }
-    }
-
-    fn close(&mut self, token: Token) {
-        let Some(conn) = self.conns.get_mut(&token.0) else { return };
-        // Best-effort flush of the final responses before the FIN. If the kernel takes it all
-        // now, the connection drops immediately; otherwise it lingers in draining state and
-        // the poll loop keeps flushing — without ever blocking the reactor — until empty or
-        // the budget runs out (a peer that stopped reading forfeits its tail).
-        let flushed = flush_some(conn);
-        if flushed.is_err() || conn.out.is_empty() {
-            if let Some(conn) = self.conns.remove(&token.0) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-            return;
-        }
-        conn.closing = Some(Instant::now() + CLOSE_FLUSH_BUDGET);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Poll transport: readiness-based (epoll) TCP, with the sleep loop as fallback.
+// Poll transport: readiness-based (epoll) TCP, with a sleep-scan loop as fallback.
 // ---------------------------------------------------------------------------
 
 /// Epoll tag of the listening socket (never a connection token).
@@ -1176,14 +996,18 @@ enum Intake {
     Channel { handoffs: Receiver<(u64, TcpStream)>, notify: TcpStream, done: bool },
 }
 
-/// A readiness-based TCP transport: the same nonblocking-socket state machine as
-/// [`TcpTransport`], but instead of sleeping a fixed `POLL_IDLE_SLEEP` between scans it parks in
-/// `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and then services only the
-/// connections the kernel reported ready. Where epoll is unavailable — unsupported platform,
-/// or any registration error at runtime — it degrades to exactly the [`TcpTransport`] sleep
-/// loop, so behavior is identical and only idle latency differs. The reactor on top is a pure
-/// function of the event sequence, so responses are byte-identical across [`TcpTransport`],
-/// `PollTransport` and the epoll/fallback paths (asserted in `tests/multi_reactor.rs`).
+/// The std-only nonblocking TCP transport: `accept` becomes [`Event::Opened`], readable bytes
+/// become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`] (half-closed peers still
+/// receive their final responses), and read/write errors become per-connection
+/// [`Event::Failed`] — never process failures.
+///
+/// Readiness-based: it parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and
+/// then services only the connections the kernel reported ready. Where epoll is unavailable —
+/// unsupported platform, or any registration error at runtime — it degrades to a sleep-scan
+/// loop (sleep `POLL_IDLE_SLEEP`, then scan every connection), so behavior is identical and
+/// only idle latency differs. The reactor on top is a pure function of the event sequence, so
+/// responses are byte-identical across the epoll and fallback paths (asserted in
+/// `tests/multi_reactor.rs`).
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
@@ -1209,8 +1033,9 @@ fn want_interest(conn: &TcpConn) -> u32 {
 }
 
 impl PollTransport {
-    /// Binds `addr` as a standalone readiness-based listener (the `PollTransport` analogue of
-    /// [`TcpTransport::bind`], same budget and quiescence-timer semantics).
+    /// Binds `addr` (e.g. `127.0.0.1:0`) as a standalone listener. `accept_budget` `Some(n)`
+    /// stops accepting after `n` connections and finishes once all are closed (`--accept N`);
+    /// `tick_interval` emits [`Event::TimerTick`] after that much idleness (`--tick-ms`).
     ///
     /// # Errors
     ///
@@ -1447,8 +1272,8 @@ impl PollTransport {
                 let Some(conn) = self.conns.get_mut(&token) else { continue };
                 let flushed = flush_some(conn);
                 if let Some(deadline) = conn.closing {
-                    // Draining close: see `TcpTransport::poll_conns` — drained, errored and
-                    // expired connections retire without an event.
+                    // Draining close: the reactor already considers the connection gone, so
+                    // drained, errored and expired connections retire without an event.
                     if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
                         Outcome::Retire
                     } else {

@@ -219,33 +219,15 @@ fn tail<'a>(rest: &'a str, key: &str) -> Result<(&'a str, &'a str), WireError> {
 
 /// Parses one request line (see the [module docs](self) for the grammar). `layout` is the
 /// deployment's secret space, used to resolve predicate field names and validate queries.
-pub fn parse_request(line: &str, layout: &SecretLayout) -> Result<ServeRequest, WireError> {
-    parse_request_inner(line, layout, None)
-}
-
-/// [`parse_request`] with an intern pool for query names: fields are parsed as `&str` slices
-/// borrowed from `line` and only the tokens that must outlive the call are materialized —
-/// query names through `interner` (an `Arc` clone after first sight, never a fresh `String`).
-/// This is the serving reactor's decode path for both wire forms.
+/// Fields are parsed as `&str` slices borrowed from `line` and only the tokens that must outlive
+/// the call are materialized — query names through `interner` (an `Arc` clone after first
+/// sight, never a fresh `String`). This is the serving reactor's decode path for both wire
+/// forms; one-off callers pass a fresh [`NameInterner`].
 pub fn parse_request_interned(
     line: &str,
     layout: &SecretLayout,
     interner: &mut NameInterner,
 ) -> Result<ServeRequest, WireError> {
-    parse_request_inner(line, layout, Some(interner))
-}
-
-fn parse_request_inner(
-    line: &str,
-    layout: &SecretLayout,
-    mut interner: Option<&mut NameInterner>,
-) -> Result<ServeRequest, WireError> {
-    let mut intern = |name: &str| -> Arc<str> {
-        match interner.as_deref_mut() {
-            Some(pool) => pool.intern(name),
-            None => Arc::from(name),
-        }
-    };
     let line = line.trim();
     let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
     match verb {
@@ -271,7 +253,7 @@ fn parse_request_inner(
         "downgrade" => Ok(ServeRequest::Downgrade {
             session: session_token(rest)?,
             secret: secret_token(rest)?,
-            query: intern(query_token(rest)?),
+            query: interner.intern(query_token(rest)?),
         }),
         "batch" => {
             // One pass over the tokens: the `secrets=` list dominates a bulk line's length,
@@ -291,7 +273,7 @@ fn parse_request_inner(
                 .and_then(|v| v.parse().ok())
                 .map(SessionId)
                 .ok_or_else(|| WireError::new("missing or bad session="))?;
-            let query = intern(query.ok_or_else(|| WireError::new("missing query="))?);
+            let query = interner.intern(query.ok_or_else(|| WireError::new("missing query="))?);
             let list = list.ok_or_else(|| WireError::new("missing secrets="))?;
             let secrets = if list.is_empty() {
                 Vec::new()
@@ -362,8 +344,8 @@ fn wire_safe_path(path: &std::path::Path) -> Result<std::path::Display<'_>, Wire
     Ok(path.display())
 }
 
-/// Renders a request as one wire line — the inverse of [`parse_request`] (predicates re-encode
-/// in the printer's positional syntax, which [`parse_request`] accepts).
+/// Renders a request as one wire line — the inverse of [`parse_request_interned`] (predicates
+/// re-encode in the printer's positional syntax, which the parser accepts).
 ///
 /// # Errors
 ///
@@ -458,8 +440,8 @@ pub fn encode_response(response: &ServeResponse) -> String {
         ServeResponse::Stats(s) => format!(
             "ok stats open={} ticks={} requests={} batched={} largest={} torn={} tenants={} \
              denied={} reactors={} shard={} workers={} entries={} sessions={} closed={} \
-             synth_hits={} synth_misses={} warm={} authorized={} refused={} memo_cfg={} \
-             memo_hint={} memo={} journal={} saves_skipped={}",
+             synth_hits={} synth_misses={} warm={} authorized={} refused={} journal={} \
+             saves_skipped={}",
             s.open_sessions,
             s.ticks,
             s.requests,
@@ -479,9 +461,6 @@ pub fn encode_response(response: &ServeResponse) -> String {
             s.serve.cache.warm_loaded,
             s.serve.cache.downgrades_authorized,
             s.serve.cache.downgrades_refused,
-            s.memo_min_depth,
-            s.memo_suggested_depth,
-            encode_memo_buckets(&s.memo_depth),
             encode_journal(&s.journal),
             s.saves_skipped,
         ),
@@ -502,18 +481,8 @@ pub fn encode_response(response: &ServeResponse) -> String {
     }
 }
 
-/// Renders the per-depth memo counters as `hits:misses:bypassed` triples, one per bucket,
-/// comma-joined — compact enough for the single-line stats response.
-fn encode_memo_buckets(buckets: &[[u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS]) -> String {
-    let triples: Vec<String> = buckets
-        .iter()
-        .map(|[hits, misses, bypassed]| format!("{hits}:{misses}:{bypassed}"))
-        .collect();
-    triples.join(",")
-}
-
-/// Renders the journal counters as `appended:compacted:replayed:torn` (the same colon-joined
-/// sub-token idiom as the memo buckets).
+/// Renders the journal counters as `appended:compacted:replayed:torn` (colon-joined
+/// sub-tokens, so the stats line stays one `key=value` token per field).
 fn encode_journal(journal: &[u64; 4]) -> String {
     let [appended, compacted, replayed, torn] = journal;
     format!("{appended}:{compacted}:{replayed}:{torn}")
@@ -527,19 +496,6 @@ fn parse_journal(text: &str) -> Option<[u64; 4]> {
         *slot = parts.next()?.parse().ok()?;
     }
     Some(counters)
-}
-
-/// Parses the [`encode_memo_buckets`] form back into per-bucket counters.
-fn parse_memo_buckets(text: &str) -> Option<[[u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS]> {
-    let mut buckets = [[0u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS];
-    let mut triples = text.split(',');
-    for bucket in &mut buckets {
-        let mut parts = triples.next()?.splitn(3, ':');
-        for slot in bucket.iter_mut() {
-            *slot = parts.next()?.parse().ok()?;
-        }
-    }
-    triples.next().is_none().then_some(buckets)
 }
 
 /// Default cap on one wire line for the incremental [`LineDecoder`], in bytes. Protocol lines
@@ -944,11 +900,6 @@ pub fn parse_response(line: &str) -> Result<ServeResponse, WireError> {
                             downgrades_refused: parse_counter(rest, "refused=")?,
                         },
                     },
-                    memo_depth: token(rest, "memo=")
-                        .and_then(parse_memo_buckets)
-                        .ok_or_else(|| WireError::new("missing or bad memo="))?,
-                    memo_min_depth: parse_counter(rest, "memo_cfg=")?,
-                    memo_suggested_depth: parse_counter(rest, "memo_hint=")?,
                     journal: token(rest, "journal=")
                         .and_then(parse_journal)
                         .ok_or_else(|| WireError::new("missing or bad journal="))?,
@@ -990,6 +941,11 @@ mod tests {
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
+    }
+
+    /// A one-off parse with a fresh intern pool.
+    fn parse(line: &str) -> Result<ServeRequest, WireError> {
+        parse_request_interned(line, &layout(), &mut NameInterner::new())
     }
 
     fn nearby() -> QueryDef {
@@ -1037,12 +993,14 @@ mod tests {
             ServeRequest::Metrics,
             ServeRequest::Trace,
         ];
+        let mut interner = NameInterner::new();
         for request in requests {
             let line = encode_request(&request).unwrap();
             assert!(!line.contains('\n'));
-            let parsed = parse_request(&line, &layout()).unwrap_or_else(|e| {
-                panic!("`{line}` failed to parse: {e}");
-            });
+            let parsed =
+                parse_request_interned(&line, &layout(), &mut interner).unwrap_or_else(|e| {
+                    panic!("`{line}` failed to parse: {e}");
+                });
             assert_eq!(parsed, request, "`{line}`");
         }
     }
@@ -1076,8 +1034,7 @@ mod tests {
 
     #[test]
     fn human_written_requests_parse_with_field_names() {
-        let req = parse_request("register name=near kind=under pred=abs(x - 200) <= 50", &layout())
-            .unwrap();
+        let req = parse("register name=near kind=under pred=abs(x - 200) <= 50").unwrap();
         match req {
             ServeRequest::RegisterQuery { query, members: None, .. } => {
                 assert_eq!(query.name(), "near");
@@ -1086,7 +1043,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse_request("open min-size:100&min-entropy-mb:2000", &layout()).is_ok());
+        assert!(parse("open min-size:100&min-entropy-mb:2000").is_ok());
     }
 
     #[test]
@@ -1130,9 +1087,6 @@ mod tests {
                         warm_loaded: 0,
                     },
                 },
-                memo_depth: [[0, 0, 12], [3, 1, 0], [250, 9, 0], [0, 0, 0]],
-                memo_min_depth: 2,
-                memo_suggested_depth: 3,
                 journal: [14, 9, 5, 1],
                 saves_skipped: 2,
             })),
@@ -1196,7 +1150,7 @@ mod tests {
             "save",
             "close session=",
         ] {
-            assert!(parse_request(bad, &layout()).is_err(), "`{bad}` must not parse");
+            assert!(parse(bad).is_err(), "`{bad}` must not parse");
         }
         for bad in
             ["", "ok", "ok what 3", "ok answer perhaps", "deny nonsense msg", "nah 3", "ok metrics"]

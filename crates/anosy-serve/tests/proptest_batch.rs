@@ -6,7 +6,7 @@ use anosy_core::{AnosySession, MinSizePolicy, QInfo};
 use anosy_domains::IntervalDomain;
 use anosy_ifc::Protected;
 use anosy_logic::{IntExpr, Point, SecretLayout};
-use anosy_serve::{downgrade_batch, downgrade_many, ShardPool};
+use anosy_serve::{downgrade_batch, ShardPool};
 use anosy_solver::SolverConfig;
 use anosy_synth::{ApproxKind, QueryDef, SynthConfig, Synthesizer};
 use proptest::prelude::*;
@@ -91,42 +91,5 @@ proptest! {
                 "knowledge diverges for {}", p
             );
         }
-    }
-
-    #[test]
-    fn many_agrees_elementwise_with_the_loop(
-        secret in arb_secret(),
-        threshold in (0u64..=25_000).prop_map(u128::from),
-        order in proptest::collection::vec(0usize..4, 0..8),
-    ) {
-        // Index 3 maps to an unregistered query name.
-        let names: Vec<String> = order
-            .iter()
-            .map(|&i| match queries().get(i) {
-                Some(q) => q.query().name().to_string(),
-                None => "never_registered".to_string(),
-            })
-            .collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-
-        let mut looped = session_with_queries(threshold);
-        let loop_results: Vec<Result<bool, String>> = name_refs
-            .iter()
-            .map(|n| looped.downgrade(&Protected::new(secret.clone()), n).map_err(|e| e.to_string()))
-            .collect();
-
-        let mut many = session_with_queries(threshold);
-        let many_results: Vec<Result<bool, String>> =
-            downgrade_many(&mut many, &secret, &name_refs)
-                .into_iter()
-                .map(|r| r.map_err(|e| e.to_string()))
-                .collect();
-
-        prop_assert_eq!(&many_results, &loop_results);
-        prop_assert_eq!(many.stats(), looped.stats());
-        prop_assert_eq!(
-            many.knowledge_of(&secret).size(),
-            looped.knowledge_of(&secret).size()
-        );
     }
 }

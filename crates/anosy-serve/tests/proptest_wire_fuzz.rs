@@ -17,7 +17,7 @@
 mod support;
 
 use anosy_logic::SecretLayout;
-use anosy_serve::wire::{self, DecodedFrame, DecodedLine, FrameDecoder, LineDecoder};
+use anosy_serve::wire::{self, DecodedFrame, DecodedLine, FrameDecoder, LineDecoder, NameInterner};
 use anosy_serve::{Frontend, Server, ServerConfig, SimNet};
 use proptest::prelude::*;
 
@@ -118,7 +118,10 @@ proptest! {
     #[test]
     fn parsers_never_panic_on_decoded_soup(bytes in arb_bytes()) {
         // Run the soup through the decoder and both parsers — errors are fine, panics are not,
-        // and every decoded Line is valid UTF-8 by construction.
+        // and every decoded Line is valid UTF-8 by construction. One intern pool serves the
+        // whole case, as one connection's does, so interning sees the soup too.
+        let mut interner = NameInterner::new();
+        let mut parsed = 0;
         let mut decoder = LineDecoder::with_max_line(128);
         let mut lines = decoder.feed(&bytes);
         if let Some(last) = decoder.finish() {
@@ -126,16 +129,20 @@ proptest! {
         }
         for item in lines {
             if let DecodedLine::Line(line) = item {
-                let _ = wire::parse_request(&line, &layout());
+                let _ = wire::parse_request_interned(&line, &layout(), &mut interner);
                 let _ = wire::parse_response(&line);
+                parsed += 1;
             }
         }
         // The raw soup, lossily decoded, must not panic the parsers either (a transport that
         // skips the decoder, like the old per-line stdin path).
         for line in String::from_utf8_lossy(&bytes).lines() {
-            let _ = wire::parse_request(line, &layout());
+            let _ = wire::parse_request_interned(line, &layout(), &mut interner);
             let _ = wire::parse_response(line);
+            parsed += 1;
         }
+        // At most one query name is interned per parsed line.
+        prop_assert!(interner.len() <= parsed);
     }
 
     #[test]
@@ -151,10 +158,11 @@ proptest! {
             line[index] = byte;
         }
         let mut decoder = LineDecoder::new();
+        let mut interner = NameInterner::new();
         line.push(b'\n');
         for item in decoder.feed(&line) {
             if let DecodedLine::Line(text) = item {
-                let _ = wire::parse_request(&text, &layout());
+                let _ = wire::parse_request_interned(&text, &layout(), &mut interner);
                 let _ = wire::parse_response(&text);
             }
         }
@@ -242,6 +250,7 @@ proptest! {
         bytes in arb_frame_soup(),
     ) {
         let mut decoder = FrameDecoder::with_max_frame(128);
+        let mut interner = NameInterner::new();
         let mut frames = decoder.feed(&bytes);
         if let Some(last) = decoder.finish() {
             frames.push(last);
@@ -251,7 +260,7 @@ proptest! {
                 // A frame payload is one protocol line: the parsers must take whatever the
                 // soup delivered without panicking (errors are fine).
                 if let Ok(text) = std::str::from_utf8(&payload) {
-                    let _ = wire::parse_request(text, &layout());
+                    let _ = wire::parse_request_interned(text, &layout(), &mut interner);
                     let _ = wire::parse_response(text);
                 }
             }

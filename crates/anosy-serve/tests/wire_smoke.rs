@@ -112,4 +112,19 @@ fn bad_arguments_fail_with_usage() {
         .output()
         .expect("anosy-served runs");
     assert_eq!(output.status.code(), Some(2), "--accept without --listen is refused");
+
+    // Modifier flags without the option they modify are refused, not silently ignored.
+    for (args, what) in [
+        (&["--compact-every", "3"][..], "--compact-every without --journal"),
+        (&["--journal-flush", "on-tick"][..], "--journal-flush without --journal"),
+        (&["--verify-on-load"][..], "--verify-on-load without --warm-start or --journal"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
+            .args(["--layout", "x:0:400 y:0:400"])
+            .args(args)
+            .output()
+            .expect("anosy-served runs");
+        assert_eq!(output.status.code(), Some(2), "{what} is refused");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"), "{what}");
+    }
 }

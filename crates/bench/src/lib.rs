@@ -76,16 +76,6 @@ pub struct Fig5Row {
     pub cache_hits: u64,
     /// Term-store memo-table misses during synthesis.
     pub cache_misses: u64,
-    /// `(id, box)` memo profitability per depth bucket: `[hits, misses, bypassed]` for each of
-    /// [`anosy::logic::BOX_MEMO_DEPTH_LABELS`]. The per-bucket hit rates are the evidence for
-    /// (or against) the `BOX_MEMO_MIN_DEPTH` threshold.
-    pub memo_depth: [[u64; 3]; anosy::logic::BOX_MEMO_DEPTH_BUCKETS],
-    /// The `(id, box)` memo depth threshold the run was configured with.
-    pub memo_depth_configured: u8,
-    /// The threshold [`anosy::logic::suggested_min_memo_depth`] derives from this row's
-    /// per-bucket hit rates — printed next to the configured one so the knob can be retuned
-    /// from evidence.
-    pub memo_depth_suggested: u8,
 }
 
 fn percent_diff(approx: u128, exact: u128) -> f64 {
@@ -135,14 +125,6 @@ pub fn fig5_row(
         }
     };
     let store = synthesizer.store_stats();
-    let mut memo_depth = [[0u64; 3]; anosy::logic::BOX_MEMO_DEPTH_BUCKETS];
-    for (bucket, row) in memo_depth.iter_mut().enumerate() {
-        *row = [
-            store.box_memo_depth_hits[bucket],
-            store.box_memo_depth_misses[bucket],
-            store.box_memo_depth_bypassed[bucket],
-        ];
-    }
     Fig5Row {
         id: benchmark.id.short().to_string(),
         kind,
@@ -154,9 +136,6 @@ pub fn fig5_row(
         synth_nodes: synthesizer.solver_stats().nodes_explored,
         cache_hits: store.cache_hits(),
         cache_misses: store.cache_misses(),
-        memo_depth,
-        memo_depth_configured: store.box_memo_min_depth,
-        memo_depth_suggested: anosy::logic::suggested_min_memo_depth(&store),
     }
 }
 
@@ -239,33 +218,13 @@ pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
     out.push_str(&format!("  \"capped_by_host\": {},\n", capped_by_host(1)));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let memo_depth = r
-            .memo_depth
-            .iter()
-            .enumerate()
-            .map(|(bucket, [hits, misses, bypassed])| {
-                format!(
-                    concat!(
-                        "{{\"depth\": \"{}\", \"hits\": {}, \"misses\": {}, ",
-                        "\"bypassed\": {}}}"
-                    ),
-                    anosy::logic::BOX_MEMO_DEPTH_LABELS[bucket],
-                    hits,
-                    misses,
-                    bypassed
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
         out.push_str(&format!(
             concat!(
                 "    {{\"id\": \"{}\", \"kind\": \"{}\", ",
                 "\"true_size\": {}, \"false_size\": {}, ",
                 "\"diff_true_percent\": {:.4}, \"diff_false_percent\": {:.4}, ",
                 "\"synth_seconds\": {:.6}, \"verify_seconds\": {:.6}, \"verified\": {}, ",
-                "\"synth_nodes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, ",
-                "\"box_memo_depth\": [{}], ",
-                "\"box_memo_min_depth\": {{\"configured\": {}, \"suggested\": {}}}}}{}\n"
+                "\"synth_nodes\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}{}\n"
             ),
             r.id,
             r.kind,
@@ -279,9 +238,6 @@ pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
             r.synth_nodes,
             r.cache_hits,
             r.cache_misses,
-            memo_depth,
-            r.memo_depth_configured,
-            r.memo_depth_suggested,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -1690,9 +1646,6 @@ mod tests {
             synth_nodes: 420,
             cache_hits: 1700,
             cache_misses: 300,
-            memo_depth: [[0, 0, 9], [0, 0, 4], [7, 3, 0], [0, 0, 0]],
-            memo_depth_configured: 8,
-            memo_depth_suggested: 8,
         }];
         let json = fig5_rows_to_json("fig5a_intervals", &rows);
         assert_eq!(json.matches("{\"id\"").count(), rows.len());
@@ -1707,10 +1660,6 @@ mod tests {
         assert!(json.contains("\"synth_nodes\": 420"));
         assert!(json.contains("\"cache_hits\": 1700"));
         assert!(json.contains("\"cache_misses\": 300"));
-        assert!(json.contains("\"box_memo_depth\": ["));
-        assert!(json.contains("{\"depth\": \"1-3\", \"hits\": 0, \"misses\": 0, \"bypassed\": 9}"));
-        assert!(json.contains("{\"depth\": \"8-15\", \"hits\": 7, \"misses\": 3, \"bypassed\": 0}"));
-        assert!(json.contains("\"box_memo_min_depth\": {\"configured\": 8, \"suggested\": 8}"));
         // Crude but dependency-free well-formedness checks.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
