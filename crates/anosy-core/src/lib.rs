@@ -12,7 +12,7 @@
 //! * [`QInfo`] — a registered query together with its synthesized and verified knowledge
 //!   approximation (the paper's `QInfo` record);
 //! * [`AnosySession`] — the `AnosyT` monad-transformer analogue: it owns the policy, the
-//!   per-secret knowledge map and the query map, and its [`AnosySession::downgrade`] implements
+//!   per-secret knowledge map and a (shareable, copy-on-write) [`QueryTable`], and its [`AnosySession::downgrade`] implements
 //!   Fig. 2 — posterior computed for **both** possible answers, policy checked on both, the query
 //!   executed only if both pass;
 //! * [`KaryQuery`] — the §5.1 extension to queries with finitely many (more than two) outputs.
@@ -76,7 +76,7 @@ pub use policy::{
 };
 pub use qinfo::QInfo;
 pub use session::{
-    downgrade_step, synthesize_and_verify, AnosySession, AsSecretPoint, SessionStats,
+    downgrade_step, synthesize_and_verify, AnosySession, AsSecretPoint, QueryTable, SessionStats,
     SynthesizeInto,
 };
 pub use shared::{CommitObserver, SharedCacheEntry, SharedCacheStats, SharedSynthCache};

@@ -102,17 +102,26 @@ impl SynthesizeInto for PowersetDomain {
     }
 }
 
+/// A session's query table: query names to their registered [`QInfo`].
+///
+/// Queries are synthesized and verified once, ahead of time, so one table can serve every
+/// session of a deployment: sessions hold a refcount on it, and a registration
+/// copy-on-writes it (`Arc::make_mut`), so a session's private registration never reaches
+/// the sessions it shared the table with.
+pub type QueryTable<D> = Arc<BTreeMap<String, Arc<QInfo<D>>>>;
+
 /// A declassification session: the state of the `AnosyT` monad transformer.
 ///
-/// The session owns the quantitative [`Policy`], the map from secrets to their currently tracked
-/// knowledge and the map from query names to their [`QInfo`]. Downgrades refine the knowledge and
-/// are refused — *before the query is executed* — when either possible posterior would violate
-/// the policy, so the refusal itself leaks nothing about the secret (§3).
+/// The session owns the quantitative [`Policy`] and the map from secrets to their currently
+/// tracked knowledge, and holds a (possibly shared) [`QueryTable`] from query names to their
+/// [`QInfo`]. Downgrades refine the knowledge and are refused — *before the query is executed*
+/// — when either possible posterior would violate the policy, so the refusal itself leaks
+/// nothing about the secret (§3).
 pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
     policy: Arc<dyn Policy<D> + Send + Sync>,
     secrets: HashMap<Point, Knowledge<D>>,
-    queries: BTreeMap<String, QInfo<D>>,
+    queries: QueryTable<D>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
     /// The term store and synthesis cache the session registers through — private to the
     /// session, or shared across a deployment.
@@ -141,7 +150,7 @@ impl<D: AbstractDomain> AnosySession<D> {
             layout,
             policy: Arc::new(policy),
             secrets: HashMap::new(),
-            queries: BTreeMap::new(),
+            queries: Arc::default(),
             kary_queries: BTreeMap::new(),
             cache: shared,
             stats: SessionStats::default(),
@@ -188,18 +197,36 @@ impl<D: AbstractDomain> AnosySession<D> {
 
     /// The registered query with the given name, if any (read access for serving-layer drivers).
     pub fn query_info(&self, name: &str) -> Option<&QInfo<D>> {
-        self.queries.get(name)
+        self.queries.get(name).map(Arc::as_ref)
     }
 
-    /// Registers an already-synthesized (and, by contract, already-verified) query.
+    /// A cloneable handle on the registered query with the given name, if any: the batched
+    /// driver hands it to worker threads without copying the [`QInfo`].
+    pub fn query_handle(&self, name: &str) -> Option<Arc<QInfo<D>>> {
+        self.queries.get(name).cloned()
+    }
+
+    /// The query table this session downgrades against.
+    pub fn query_table(&self) -> &QueryTable<D> {
+        &self.queries
+    }
+
+    /// Points the session at `table`, replacing its registered queries — one refcount, no
+    /// copies. This is how a serving frontend gives every session its deployment's table.
+    pub fn set_query_table(&mut self, table: QueryTable<D>) {
+        self.queries = table;
+    }
+
+    /// Registers an already-synthesized (and, by contract, already-verified) query. A shared
+    /// table is copied first, so the registration stays private to this session.
     pub fn register(&mut self, qinfo: QInfo<D>) {
-        self.queries.insert(qinfo.query().name().to_string(), qinfo);
+        Arc::make_mut(&mut self.queries).insert(qinfo.query().name().to_string(), Arc::new(qinfo));
     }
 
     /// Registers a query **from the synthesis cache only** — no [`Synthesizer`] involved, no
-    /// solver work possible. This is the session handle the serving frontend drives: the
-    /// deployment synthesizes a query once (deployment pre-warm or warm start), and every
-    /// session registration after that is this pure cache lookup.
+    /// solver work possible: once the deployment has synthesized a query (deployment pre-warm
+    /// or warm start), a session registration is this pure cache lookup. (The serving frontend
+    /// skips even that: its sessions share one [`QueryTable`] instead.)
     ///
     /// # Errors
     ///
@@ -813,6 +840,44 @@ mod tests {
             second.knowledge_of(&Point::new(vec![300, 200])).size(),
             first.knowledge_of(&Point::new(vec![300, 200])).size()
         );
+    }
+
+    #[test]
+    fn a_private_registration_never_reaches_sessions_sharing_its_table() {
+        let source = paper_session();
+        let table = Arc::clone(source.query_table());
+        let mut first: AnosySession<IntervalDomain> =
+            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+        let mut second: AnosySession<IntervalDomain> =
+            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+        first.set_query_table(Arc::clone(&table));
+        second.set_query_table(Arc::clone(&table));
+        assert!(Arc::ptr_eq(first.query_table(), second.query_table()));
+
+        // Same predicate, new name: registered by `first` alone.
+        let private = QInfo::new(
+            QueryDef::new("private", loc_layout(), nearby(200, 200).pred().clone()).unwrap(),
+            source.query_info("nearby_200_200").unwrap().indsets().clone(),
+        );
+        first.register(private);
+        assert_eq!(first.registered_queries().len(), 4);
+        assert!(first.query_info("private").is_some());
+        assert!(second.query_info("private").is_none());
+        assert!(!table.contains_key("private"), "the source table is never written");
+        assert!(Arc::ptr_eq(second.query_table(), &table));
+        assert!(Arc::ptr_eq(source.query_table(), &table));
+
+        let secret = Protected::new(Point::new(vec![300, 200]));
+        assert!(first.downgrade(&secret, "private").unwrap());
+        assert!(matches!(
+            second.downgrade(&secret, "private"),
+            Err(AnosyError::UnknownQuery { .. })
+        ));
+        // The shared entries themselves were not copied, only the table around them.
+        assert!(Arc::ptr_eq(
+            &first.query_handle("nearby_200_200").unwrap(),
+            &second.query_handle("nearby_200_200").unwrap()
+        ));
     }
 
     #[test]

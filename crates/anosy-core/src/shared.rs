@@ -73,8 +73,10 @@ struct Counters {
 /// A point-in-time snapshot of a deployment's aggregate counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Registrations (across all sessions) answered from the shared cache — including those that
-    /// waited on an in-flight synthesis instead of starting their own.
+    /// Registration lookups answered from the shared cache — including those that waited on an
+    /// in-flight synthesis instead of starting their own. Sessions that share a serving
+    /// frontend's query table never look the cache up, so behind a frontend this counts
+    /// deployment-level registrations only, however many sessions are open.
     pub synth_hits: u64,
     /// Registrations that ran the full synthesize-and-verify pipeline.
     pub synth_misses: u64,
@@ -188,15 +190,9 @@ impl<D: AbstractDomain> Drop for InFlightGuard<'_, D> {
 impl<D: AbstractDomain> SharedSynthCache<D> {
     /// Creates an empty shared cache with a fresh term store.
     pub fn new() -> Self {
-        SharedSynthCache::with_store(TermStore::new())
-    }
-
-    /// Creates an empty shared cache around a caller-supplied term store (e.g. one pre-seeded
-    /// with interned predicates, whose ids stay valid in the cache's store).
-    pub fn with_store(store: TermStore) -> Self {
         SharedSynthCache {
             inner: Arc::new(Inner {
-                store: RwLock::new(store),
+                store: RwLock::new(TermStore::new()),
                 slots: Mutex::new(HashMap::new()),
                 ready: Condvar::new(),
                 counters: Counters::default(),
@@ -599,13 +595,12 @@ mod tests {
     }
 
     #[test]
-    fn with_store_carries_the_configured_term_store() {
-        let mut store = anosy_logic::TermStore::new();
-        let id = store.intern_pred(query(200).pred());
-        let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::with_store(store);
-        assert_eq!(cache.store_snapshot().pred_to_tree(id), *query(200).pred());
-        assert_eq!(cache.intern_pred(query(200).pred()), id, "seeded ids stay valid");
+    fn new_cache_interns_into_its_own_fresh_store() {
+        let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
         assert!(cache.is_empty());
+        let id = cache.intern_pred(query(200).pred());
+        assert_eq!(cache.store_snapshot().pred_to_tree(id), *query(200).pred());
+        assert_eq!(cache.intern_pred(query(200).pred()), id, "interned ids are stable");
     }
 
     #[test]

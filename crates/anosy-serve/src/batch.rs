@@ -128,7 +128,7 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
 
     for (g, group) in groups.iter_mut().enumerate() {
         let secrets: &[Point] = group.secrets;
-        let Some(qinfo) = group.session.query_info(group.query) else {
+        let Some(qinfo) = group.session.query_handle(group.query) else {
             for slot in &mut results[g] {
                 *slot = Some(Err(AnosyError::UnknownQuery { name: group.query.to_string() }));
             }
@@ -136,7 +136,6 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
             occurrences.push(Vec::new());
             continue;
         };
-        let qinfo = Arc::new(qinfo.clone());
         let policy = group.session.policy_handle();
         let layout = Arc::new(group.session.layout().clone());
 

@@ -2,11 +2,13 @@
 //! per-tick downgrade batching.
 //!
 //! A [`Frontend`] owns a [`Deployment`] plus every open [`AnosySession`], keyed by
-//! [`SessionId`]. Any number of logical connections submit [`ServeRequest`]s between ticks
-//! ([`Frontend::submit`] — pure queueing, no work); [`Frontend::tick`] then processes the whole
-//! queue and returns one [`TaggedResponse`] per request, in submission order. The frontend never
-//! performs I/O: transports (the `anosy-served` stdio binary, tests, a future socket executor)
-//! feed it requests and write out its responses.
+//! [`SessionId`], and the one [`QueryTable`] all those sessions share: opening a session hands
+//! it the table (a refcount, not a copy), and registering a query updates the table once. Any
+//! number of logical connections submit [`ServeRequest`]s between ticks ([`Frontend::submit`] —
+//! pure queueing, no work); [`Frontend::tick`] then processes the whole queue and returns one
+//! [`TaggedResponse`] per request, in submission order. The frontend never performs I/O:
+//! transports (the `anosy-served` stdio binary, tests, a future socket executor) feed it
+//! requests and write out its responses.
 //!
 //! # Tick batching
 //!
@@ -23,10 +25,10 @@
 //! processing the same requests sequentially, one at a time, against plain [`AnosySession`]s**
 //! (`downgrade` per downgrade request), no matter how requests interleave across connections or
 //! how they split into ticks. The regrouping is sound because distinct sessions share no mutable
-//! state (the shared synthesis cache is append-only and downgrades never write it), distinct
-//! secrets within one session are independent, and same-secret chains stay in arrival order on
-//! one worker — the `downgrade_batch` guarantee, property-tested end-to-end for the frontend in
-//! `tests/proptest_frontend.rs`.
+//! state (the shared synthesis cache is append-only, and downgrades write neither it nor the
+//! shared query table), distinct secrets within one session are independent, and same-secret
+//! chains stay in arrival order on one worker — the `downgrade_batch` guarantee,
+//! property-tested end-to-end for the frontend in `tests/proptest_frontend.rs`.
 
 use crate::batch::FusedGroup;
 use crate::proto::{
@@ -34,7 +36,7 @@ use crate::proto::{
     TaggedResponse,
 };
 use crate::Deployment;
-use anosy_core::{AnosySession, SynthesizeInto};
+use anosy_core::{AnosyError, AnosySession, QInfo, QueryTable, SynthesizeInto};
 use anosy_domains::AbstractDomain;
 use anosy_logic::{Point, PredId};
 use anosy_solver::ValidityOutcome;
@@ -126,8 +128,11 @@ enum Pending {
 pub struct Frontend<D: AbstractDomain> {
     deployment: Deployment<D>,
     sessions: BTreeMap<SessionId, OpenSession<D>>,
-    /// Queries registered so far: replayed into every newly opened session (registration is a
-    /// pure cache hit by then). Keyed by name; re-registration replaces, as in a session.
+    /// The query table every open session shares: an open costs one refcount, and a
+    /// registration copy-on-writes the table once and re-points the open sessions at it.
+    queries: QueryTable<D>,
+    /// The request behind each table entry, keyed by name, for the identical-re-registration
+    /// short-circuit (the table does not record the powerset member budget).
     registry: BTreeMap<String, (QueryDef, ApproxKind, Option<usize>)>,
     pending: Vec<Pending>,
     next_session: u64,
@@ -147,6 +152,7 @@ impl<D: AbstractDomain> Frontend<D> {
         Frontend {
             deployment,
             sessions: BTreeMap::new(),
+            queries: QueryTable::default(),
             registry: BTreeMap::new(),
             pending: Vec::new(),
             next_session: 0,
@@ -487,11 +493,7 @@ where
                     SessionId(self.next_session)
                 };
                 let mut session = self.deployment.session(policy);
-                for (query, kind, members) in self.registry.values() {
-                    if let Err(e) = session.register_cached(query, *kind, *members) {
-                        return ServeResponse::Rejected(Denial::from(e));
-                    }
-                }
+                session.set_query_table(Arc::clone(&self.queries));
                 self.sessions.insert(id, OpenSession { owner: conn, session });
                 ServeResponse::SessionOpened { session: id }
             }
@@ -503,12 +505,10 @@ where
                     ));
                 }
                 // Re-registering an identical query is the steady-state pattern when many
-                // tenants each register the slice of a shared palette they use: every open
-                // session already holds the exact cached approximation (sessions opened since
-                // the first registration replayed it from the registry), so the per-session
-                // broadcast would re-install bit-identical `QInfo`s at O(open sessions) cost.
-                // The shared-cache lookup above keeps the deployment's hit/miss aggregates
-                // honest.
+                // tenants each register the slice of a shared palette they use: the table
+                // already holds the exact cached approximation, so there is nothing to
+                // install. The shared-cache lookup above keeps the deployment's hit/miss
+                // aggregates honest.
                 if self
                     .registry
                     .get(query.name())
@@ -516,12 +516,20 @@ where
                 {
                     return ServeResponse::QueryRegistered { name: query.name().to_string() };
                 }
-                for open in self.sessions.values_mut() {
-                    if let Err(e) = open.session.register_cached(&query, kind, members) {
-                        return ServeResponse::Rejected(Denial::from(e));
-                    }
-                }
                 let name = query.name().to_string();
+                let Some(indsets) = self.deployment.shared().get_ready(&query, kind, members)
+                else {
+                    return ServeResponse::Rejected(Denial::from(AnosyError::NotSynthesized {
+                        name,
+                    }));
+                };
+                // Every open session holds the table, so this copies it once (entries are
+                // refcounted); the sessions then swap to the new one.
+                Arc::make_mut(&mut self.queries)
+                    .insert(name.clone(), Arc::new(QInfo::new(query.clone(), indsets)));
+                for open in self.sessions.values_mut() {
+                    open.session.set_query_table(Arc::clone(&self.queries));
+                }
                 self.registry.insert(name.clone(), (query, kind, members));
                 ServeResponse::QueryRegistered { name }
             }
@@ -763,13 +771,68 @@ mod tests {
             },
         );
         frontend.tick();
-        // A session opened *later* still knows the query, via the registry replay.
+        // A session opened *later* still knows the query: it shares the frontend's table.
         frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
         frontend.submit(conn, downgrade(SessionId(1), 300, 200, "nearby_200_200"));
         let responses = frontend.tick();
         assert_eq!(responses[1].response, ServeResponse::Answer(Ok(true)));
-        // And the replay was a pure cache hit: one synthesis total.
+        // One synthesis total.
         assert_eq!(frontend.deployment().stats().cache.synth_misses, 1);
+
+        // Re-registering a *changed* definition under the same name reaches the session opened
+        // before the change and one opened after it. (390, 200) is outside the old diamond
+        // around (200, 200) and inside the new one around (300, 200).
+        let moved = nearby_query(300);
+        let changed = QueryDef::new("nearby_200_200", layout(), moved.pred().clone()).unwrap();
+        frontend.submit(
+            conn,
+            ServeRequest::RegisterQuery { query: changed, kind: ApproxKind::Under, members: None },
+        );
+        frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        frontend.submit(conn, downgrade(SessionId(1), 390, 200, "nearby_200_200"));
+        frontend.submit(conn, downgrade(SessionId(2), 390, 200, "nearby_200_200"));
+        let responses = frontend.tick();
+        assert_eq!(
+            responses[0].response,
+            ServeResponse::QueryRegistered { name: "nearby_200_200".into() }
+        );
+        assert_eq!(responses[1].response, ServeResponse::SessionOpened { session: SessionId(2) });
+        assert_eq!(responses[2].response, ServeResponse::Answer(Ok(true)));
+        assert_eq!(responses[3].response, ServeResponse::Answer(Ok(true)));
+        for open in frontend.sessions.values() {
+            assert!(Arc::ptr_eq(open.session.query_table(), &frontend.queries));
+            let qinfo = open.session.query_info("nearby_200_200").unwrap();
+            assert_eq!(qinfo.query().pred(), moved.pred());
+        }
+        assert_eq!(frontend.deployment().stats().cache.synth_misses, 2);
+    }
+
+    #[test]
+    fn opening_sessions_shares_the_table_without_cache_lookups() {
+        let mut frontend = frontend();
+        let conn = frontend.connect();
+        for xo in [200, 300] {
+            frontend.submit(
+                conn,
+                ServeRequest::RegisterQuery {
+                    query: nearby_query(xo),
+                    kind: ApproxKind::Under,
+                    members: None,
+                },
+            );
+        }
+        frontend.tick();
+        let hits = frontend.deployment().stats().cache.synth_hits;
+        for _ in 0..8 {
+            frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        }
+        frontend.tick();
+        assert_eq!(frontend.open_sessions(), 8);
+        assert_eq!(frontend.deployment().stats().cache.synth_hits, hits, "opens never look up");
+        assert_eq!(frontend.queries.len(), 2);
+        for open in frontend.sessions.values() {
+            assert!(Arc::ptr_eq(open.session.query_table(), &frontend.queries));
+        }
     }
 
     #[test]

@@ -49,11 +49,18 @@ impl ShardPool {
     /// until all jobs finish (a barrier). A job that panics yields `Err` carrying the original
     /// panic payload in its slot (so callers can `resume_unwind` it with the real message); the
     /// other jobs still complete.
-    pub fn scatter<T, F>(&self, jobs: Vec<F>) -> Vec<std::thread::Result<T>>
+    ///
+    /// A lone job runs inline on the calling thread, under the same `catch_unwind`: with
+    /// nothing to run beside it, the hand-off to a worker and back is pure overhead.
+    pub fn scatter<T, F>(&self, mut jobs: Vec<F>) -> Vec<std::thread::Result<T>>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        if jobs.len() == 1 {
+            let job = jobs.pop().expect("one job");
+            return vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))];
+        }
         let total = jobs.len();
         let (results_tx, results_rx) = channel::<(usize, std::thread::Result<T>)>();
         for (index, job) in jobs.into_iter().enumerate() {
@@ -158,6 +165,24 @@ mod tests {
         // The pool still works afterwards.
         let again = pool.scatter(vec![|| 7]);
         assert_eq!(again.into_iter().map(Result::unwrap).collect::<Vec<_>>(), vec![7]);
+    }
+
+    #[test]
+    fn a_lone_job_runs_on_the_calling_thread_and_keeps_its_panic_payload() {
+        let pool = ShardPool::new(2);
+        let caller = std::thread::current().id();
+        let ran_on = pool.scatter(vec![|| std::thread::current().id()]);
+        assert_eq!(ran_on.into_iter().map(Result::unwrap).collect::<Vec<_>>(), vec![caller]);
+        // Two jobs still go to the workers.
+        for id in pool.scatter(vec![|| std::thread::current().id(); 2]) {
+            assert_ne!(id.unwrap(), caller);
+        }
+
+        let results = pool.scatter(vec![|| -> i32 { panic!("lone job exploded") }]);
+        assert_eq!(results.len(), 1);
+        let payload = results[0].as_ref().unwrap_err();
+        let message = payload.downcast_ref::<&str>().expect("payload is the panic message");
+        assert_eq!(*message, "lone job exploded");
     }
 
     #[test]

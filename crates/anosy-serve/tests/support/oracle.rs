@@ -185,9 +185,9 @@ impl Oracle {
                 ServeResponse::SessionOpened { session: SessionId(id) }
             }
             ServeRequest::RegisterQuery { query, .. } => {
-                // Mirrors the frontend's identical-re-registration fast path: sessions
-                // already hold the query (broadcast at first registration, registry replay
-                // at open), so the broadcast is skipped.
+                // Mirrors the frontend's identical-re-registration fast path: every session
+                // already holds the query (the frontend's shared table has it), so nothing
+                // is re-installed.
                 if self.registry.iter().any(|(q, _)| q == query) {
                     return ServeResponse::QueryRegistered { name: query.name().to_string() };
                 }

@@ -1431,12 +1431,12 @@ pub struct PopulationRow {
     pub requests_per_second: f64,
     /// Frontend ticks the reactor ran.
     pub ticks: u64,
-    /// Registrations answered from the shared synthesis cache.
+    /// Registration lookups answered from the shared synthesis cache (session opens share
+    /// the frontend's query table and never look the cache up).
     pub synth_hits: u64,
     /// Registrations that ran the full synthesize-and-verify pipeline.
     pub synth_misses: u64,
-    /// `synth_hits / (synth_hits + synth_misses)` over every cache lookup, including the
-    /// registry replay each session open performs (dominant at high tenant counts).
+    /// `synth_hits / (synth_hits + synth_misses)` over every cache lookup.
     pub synth_hit_rate: f64,
     /// `RegisterQuery` requests the population scheduled.
     pub register_requests: usize,
