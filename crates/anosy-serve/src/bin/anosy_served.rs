@@ -44,14 +44,10 @@
 //!   one shared deployment ([`anosy_serve::ReactorPool`]; arrival-order hash assignment,
 //!   connection-scoped session ids, responses invariant under `N`). Default `1`: the
 //!   standalone single-reactor server;
-//! * `--io-log-cap N` — deployment-wide cap on retained connection-failure log entries
-//!   (a reactor pool divides it among shards and re-applies it to the merged log);
 //! * `--trace PATH` — after the run, write every reactor's recorded spans as a
 //!   chrome://tracing JSON array (load it in `about:tracing` or Perfetto). Over stdin/stdout
 //!   the trace clock is the reactor's poll counter, so a piped script traces byte-identically
-//!   on every replay — the CI trace-smoke check;
-//! * `--no-telemetry` — skip installing per-reactor telemetry collectors (the overhead
-//!   baseline; `metrics`/`trace` requests then answer empty).
+//!   on every replay — the CI trace-smoke check.
 //!
 //! A connection whose very first bytes are the magic preamble `anosy-bin v1\n` is served the
 //! **binary frame protocol** instead: every subsequent request rides a
@@ -91,7 +87,6 @@ struct Options {
     tick_ms: Option<u64>,
     reactors: u64,
     trace: Option<std::path::PathBuf>,
-    telemetry: bool,
 }
 
 fn usage() -> ! {
@@ -100,7 +95,7 @@ fn usage() -> ! {
          [--workers N] [--warm-start PATH [--verify-on-load]] \
          [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
-         [--compact-every N]] [--ticked] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
+         [--compact-every N]] [--ticked] [--trace PATH] \
          [--listen ADDR [--accept N] [--tick-ms MS] [--reactors N]]"
     );
     std::process::exit(2);
@@ -123,7 +118,6 @@ fn parse_options() -> Options {
     let mut tick_ms = None;
     let mut reactors = 1u64;
     let mut trace = None;
-    let mut telemetry = true;
     let mut i = 0;
     let value = |i: &mut usize| -> String {
         *i += 1;
@@ -144,12 +138,7 @@ fn parse_options() -> Options {
                 let workers = value(&mut i).parse().unwrap_or_else(|_| usage());
                 config = config.with_workers(workers);
             }
-            "--io-log-cap" => {
-                let cap = value(&mut i).parse().unwrap_or_else(|_| usage());
-                config = config.with_io_log_cap(cap);
-            }
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut i))),
-            "--no-telemetry" => telemetry = false,
             "--warm-start" => warm_start = Some(std::path::PathBuf::from(value(&mut i))),
             "--verify-on-load" => verify_on_load = true,
             "--save-on-exit" => save_on_exit = Some(std::path::PathBuf::from(value(&mut i))),
@@ -176,6 +165,9 @@ fn parse_options() -> Options {
     }
     let Some(layout) = layout else { usage() };
     if (accept.is_some() || tick_ms.is_some() || reactors > 1) && listen.is_none() {
+        usage();
+    }
+    if tick_ms.is_some() && !ticked {
         usage();
     }
     if verify_on_load && warm_start.is_none() && journal.is_none() {
@@ -208,7 +200,6 @@ fn parse_options() -> Options {
         tick_ms,
         reactors,
         trace,
-        telemetry,
     }
 }
 
@@ -260,10 +251,7 @@ where
         .expect("stdout is writable");
     }
 
-    let server_config = ServerConfig::new()
-        .ticked(options.ticked)
-        .with_telemetry(options.telemetry)
-        .with_io_log_cap(options.config.io_log_cap);
+    let server_config = ServerConfig::new().ticked(options.ticked);
     match &options.listen {
         // The reactor pool: an acceptor thread routes connections to N readiness-based
         // reactor shards over the one shared deployment.
@@ -296,7 +284,7 @@ where
             );
             let logs: Vec<&[anosy_serve::IoLogEntry]> =
                 servers.iter().map(|s| s.io_log()).collect();
-            for entry in reactor::merge_io_logs(&logs, options.config.io_log_cap) {
+            for entry in reactor::merge_io_logs(&logs) {
                 eprintln!("# merged io-log: {entry}");
             }
             let reports: Vec<anosy_serve::Report> =

@@ -11,7 +11,6 @@ use anosy_domains::AbstractDomain;
 use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, QueryDef, Synthesizer};
-use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,35 +47,6 @@ pub struct ServeStats {
     pub entries: usize,
     /// Worker threads in the shard pool.
     pub workers: usize,
-}
-
-impl ServeStats {
-    /// Renders the stats as a small JSON object (the report binaries' format; the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workers\": {}, \"entries\": {}, \"sessions\": {}, \"sessions_closed\": {}, ",
-                "\"synth_hits\": {}, \"synth_misses\": {}, \"warm_loaded\": {}, ",
-                "\"downgrades_authorized\": {}, \"downgrades_refused\": {}}}"
-            ),
-            self.workers,
-            self.entries,
-            self.cache.sessions_opened,
-            self.cache.sessions_closed,
-            self.cache.synth_hits,
-            self.cache.synth_misses,
-            self.cache.warm_loaded,
-            self.cache.downgrades_authorized,
-            self.cache.downgrades_refused,
-        )
-    }
-}
-
-impl fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} workers, {} cached entries; {}", self.workers, self.entries, self.cache)
-    }
 }
 
 /// A serving deployment (see the [crate docs](crate) for the model):
@@ -341,7 +311,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
     /// already cached in memory are not re-installed (the in-memory value wins, as in the
     /// unverified path) and count toward neither total. A missing file is a cold start.
     ///
-    /// This is the `--verify-on-load` path of `anosy-served` and `report_serve`.
+    /// This is the `--verify-on-load` path of `anosy-served`.
     ///
     /// # Errors
     ///
@@ -358,7 +328,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
 
     /// Dispatches between the trusted and verified warm-start paths behind one outcome type —
     /// the call every `verify`-flagged surface (the frontend's `WarmStart` request,
-    /// `anosy-served --verify-on-load`, `report_serve --cache`) goes through, so the two paths
+    /// `anosy-served --verify-on-load`) goes through, so the two paths
     /// cannot drift per caller.
     ///
     /// # Errors
@@ -510,11 +480,6 @@ mod tests {
         assert_eq!(stats.cache.synth_hits, 3);
         assert_eq!(stats.cache.sessions_opened, 3);
         assert_eq!(stats.entries, 1);
-        assert!(stats.to_string().contains("workers"));
-        let json = stats.to_json();
-        assert!(json.contains("\"synth_misses\": 1"));
-        assert!(json.contains("\"sessions\": 3"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

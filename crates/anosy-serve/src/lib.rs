@@ -137,7 +137,8 @@ pub use sim::SimNet;
 
 /// The deterministic telemetry layer (spans, counters, latency histograms), re-exported so
 /// transports, benchmarks and binaries built on the serving stack reach it without a direct
-/// dependency. Recording is active only when the `telemetry` cargo feature is on (the default)
-/// *and* the reactor installed a collector ([`ServerConfig::telemetry`]).
+/// dependency. Recording is active when the `telemetry` cargo feature is on (the default) and
+/// the calling thread has a collector installed — [`Server::run`] installs one on every
+/// reactor thread.
 pub use anosy_telemetry as telemetry;
 pub use anosy_telemetry::{merge_metrics, trace_json, MetricsRegistry, Report};

@@ -1,28 +1,30 @@
 //! The `SimNet` load generator: seeded multi-tenant traffic driven through a
-//! [`ReactorPool`], with measured throughput.
+//! [`ReactorPool`].
 //!
-//! This is the macro-benchmark and stress harness for multi-reactor serving. A seeded
+//! This is the stress and equivalence harness for multi-reactor serving. A seeded
 //! [`Population`] decides what every tenant does, the [`crate::popsim`] compiler schedules it
 //! onto a [`crate::SimNet`] (connection-scoped session ids, so the schedule is valid at any
 //! reactor count), [`crate::SimNet::split`] routes the traffic exactly as the pool's acceptor
 //! would, and [`ReactorPool::run`] drives the shards on real threads. The run is deterministic
-//! in `(population seed, net seed)` — wall-clock aside — so:
+//! in `(population seed, net seed)`, so:
 //!
 //! * the CI `sim-stress` lane replays fixed seeds at 2 and 4 reactors and asserts invariants;
 //! * `tests/multi_reactor.rs` asserts per-connection response streams are element-wise
 //!   identical across reactor counts ([`PoolRun::received_text`] per token);
-//! * `report_serve --json` times the same seeded run at `reactors = 1/2/4` (the
-//!   `transport_rows` of `BENCH_pr7.json`), asserting equivalence before timing.
+//! * `tests/telemetry.rs` asserts the merged per-shard metrics are invariant under the reactor
+//!   count.
+//!
+//! Serving performance is measured over real sockets by the repository benchmark
+//! (`perfbench/`), not here.
 
 use crate::popsim::{self, CompileOptions};
 use crate::proto::StatsSnapshot;
 use crate::reactor::{fold_server_stats, fold_stats, shard_of, ReactorPool};
 use crate::server::{Server, ServerConfig, ServerStats, Token};
-use crate::{Deployment, ServeConfig, SessionId, SimNet};
+use crate::{ServeConfig, SessionId, SimNet};
 use anosy_domains::IntervalDomain;
 use anosy_suite::population::{Population, PopulationConfig};
-use anosy_telemetry::{merge_metrics, Report};
-use std::time::{Duration, Instant};
+use anosy_telemetry::Report;
 
 /// Knobs of one load-generator run.
 #[derive(Debug, Clone)]
@@ -32,14 +34,8 @@ pub struct LoadOptions {
     pub net_seed: u64,
     /// Reactor shards to run the pool at.
     pub reactors: u64,
-    /// `true`: tick on blank lines/timers (`--ticked` batching mode). `false`: per-request.
-    pub ticked: bool,
-    /// Record transcripts and responses for oracle comparison (costs clones; keep off when
-    /// timing).
+    /// Record transcripts and responses for oracle comparison (costs clones).
     pub recording: bool,
-    /// Install a telemetry collector on every shard ([`ServerConfig::telemetry`]); `false` is
-    /// the baseline side of the overhead benchmark.
-    pub telemetry: bool,
     /// Compile the population onto the binary frame protocol (every connection negotiates with
     /// [`crate::wire::BINARY_PREAMBLE`] and frames each request); `false` is the line protocol.
     /// Responses come back framed too — read them with [`PoolRun::received_decoded`].
@@ -47,17 +43,9 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// A `reactors`-shard run under network seed `net_seed`: ticked, not recording — the
-    /// throughput-measurement configuration.
+    /// A `reactors`-shard run under network seed `net_seed`: line protocol, not recording.
     pub fn new(net_seed: u64, reactors: u64) -> LoadOptions {
-        LoadOptions {
-            net_seed,
-            reactors: reactors.max(1),
-            ticked: true,
-            recording: false,
-            telemetry: true,
-            binary: false,
-        }
+        LoadOptions { net_seed, reactors: reactors.max(1), recording: false, binary: false }
     }
 
     /// Switches the compiled traffic to the binary frame protocol.
@@ -71,63 +59,26 @@ impl LoadOptions {
         self.recording = true;
         self
     }
-
-    /// Sets the ticking mode.
-    pub fn ticked(mut self, ticked: bool) -> LoadOptions {
-        self.ticked = ticked;
-        self
-    }
-
-    /// Sets whether shards install telemetry collectors.
-    pub fn telemetry(mut self, telemetry: bool) -> LoadOptions {
-        self.telemetry = telemetry;
-        self
-    }
 }
 
-/// Request-latency percentiles from the merged per-shard `request.latency` histograms, in the
-/// transport clock's units — **virtual time** under [`SimNet`], so the numbers are seeds-stable
-/// tail shapes, not wall-clock. All zero when telemetry was off (or compiled out).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Requests measured (submit to response-write, per shard).
-    pub count: u64,
-    /// Median latency.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile — the tail the multi-tenant batching story is about.
-    pub p99: u64,
-    /// The exact slowest request.
-    pub max: u64,
-}
-
-/// What one load run measured.
+/// What one load run counted.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Reactor shards the pool ran.
     pub reactors: u64,
     /// `true` when the run spoke the binary frame protocol ([`LoadOptions::binary`]).
     pub binary: bool,
-    /// Simulated connections (tenants) driven.
-    pub connections: usize,
     /// Protocol requests scheduled across all connections.
     pub requests: usize,
-    /// Wall-clock of the pool run (thread spawn to last shard drained).
-    pub elapsed: Duration,
-    /// `requests / elapsed` — the headline throughput number.
-    pub requests_per_sec: f64,
     /// Deployment-wide protocol counters ([`fold_stats`] over the shards; marked
     /// `shard == reactors`).
     pub stats: StatsSnapshot,
     /// Deployment-wide reactor counters ([`fold_server_stats`] over the shards).
     pub server: ServerStats,
-    /// Request-latency tail, from telemetry (zeros when [`LoadOptions::telemetry`] was off).
-    pub latency: LatencySummary,
 }
 
 /// One finished pool run: the drained shards (frontends, transports and any recordings
-/// intact) plus the measurements.
+/// intact) plus the counters.
 #[derive(Debug)]
 pub struct PoolRun {
     /// The shards, in shard order.
@@ -136,11 +87,10 @@ pub struct PoolRun {
     pub tokens: Vec<Token>,
     /// Tenant index → the connection-scoped session id the tenant's `open` was assigned.
     pub sessions: Vec<SessionId>,
-    /// Per-shard telemetry reports in shard order (empty when [`LoadOptions::telemetry`] was
-    /// off or the feature is compiled out) — the input of [`crate::merge_metrics`] and
-    /// [`crate::trace_json`].
+    /// Per-shard telemetry reports in shard order (empty when the `telemetry` feature is
+    /// compiled out) — the input of [`crate::merge_metrics`] and [`crate::trace_json`].
     pub telemetry: Vec<Report>,
-    /// The measurements.
+    /// The counters.
     pub report: LoadReport,
 }
 
@@ -174,61 +124,32 @@ pub fn population(seed: u64, tenants: usize) -> Population {
     Population::generate(&PopulationConfig::small(seed).with_tenants(tenants))
 }
 
-/// Compiles `population` (connection-scoped), splits it across `options.reactors` shards,
-/// drives a [`ReactorPool`] over a palette-warmed deployment and measures throughput.
+/// Compiles `population` (connection-scoped), splits it across `options.reactors` shards and
+/// drives a ticked [`ReactorPool`] over a palette-warmed deployment.
 pub fn run(population: &Population, options: &LoadOptions) -> PoolRun {
     let deployment = popsim::warm_deployment(population, &ServeConfig::for_tests());
-    run_on(population, options, &deployment)
-}
-
-/// [`run`] against a caller-supplied deployment (benchmarks reuse one across reactor counts
-/// so synthesis cost and cache state are held fixed).
-pub fn run_on(
-    population: &Population,
-    options: &LoadOptions,
-    deployment: &Deployment<IntervalDomain>,
-) -> PoolRun {
     let mut compile_options = CompileOptions::new(options.net_seed).conn_scoped();
     if options.binary {
         compile_options = compile_options.binary();
     }
     let compiled = popsim::compile(population, &compile_options);
     let nets = compiled.net.split(options.reactors);
-    let mut config = ServerConfig::new().ticked(options.ticked).with_telemetry(options.telemetry);
+    let mut config = ServerConfig::new().ticked(true);
     if options.recording {
         config = config.recording();
     }
-    let pool = ReactorPool::new(options.reactors).with_config(config);
-
-    let start = Instant::now();
-    let servers = pool.run(deployment, nets);
-    let elapsed = start.elapsed();
+    let servers = ReactorPool::new(options.reactors).with_config(config).run(&deployment, nets);
 
     let snapshots: Vec<StatsSnapshot> = servers.iter().map(|s| s.frontend().snapshot()).collect();
     let server_stats: Vec<ServerStats> = servers.iter().map(|s| s.stats()).collect();
     let telemetry: Vec<Report> =
         servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
-    let latency = merge_metrics(&telemetry)
-        .histogram("request.latency")
-        .map(|h| LatencySummary {
-            count: h.count(),
-            p50: h.quantile(0.50),
-            p90: h.quantile(0.90),
-            p99: h.quantile(0.99),
-            max: h.max(),
-        })
-        .unwrap_or_default();
-    let requests = compiled.requests;
     let report = LoadReport {
         reactors: options.reactors,
         binary: options.binary,
-        connections: population.tenants.len(),
-        requests,
-        elapsed,
-        requests_per_sec: requests as f64 / elapsed.as_secs_f64().max(1e-9),
+        requests: compiled.requests,
         stats: fold_stats(&snapshots),
         server: fold_server_stats(&server_stats),
-        latency,
     };
     PoolRun { servers, tokens: compiled.tokens, sessions: compiled.sessions, telemetry, report }
 }
@@ -236,8 +157,7 @@ pub fn run_on(
 /// Asserts two runs of the **same population and net seed** at different reactor counts are
 /// observably identical: element-wise equal per-connection response streams for every token,
 /// and a balanced session ledger (`opened − closed − torn down == still open`) on both sides.
-/// The transport-level determinism argument of the multi-reactor design — and the gate
-/// `report_serve` runs before timing `transport_rows`.
+/// The transport-level determinism argument of the multi-reactor design.
 ///
 /// # Panics
 ///

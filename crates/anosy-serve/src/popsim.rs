@@ -305,12 +305,3 @@ pub fn warm_deployment(
     }
     deployment
 }
-
-/// A cold deployment for the same population (benchmarks: synthesis misses are part of the
-/// measured workload, so cache hit rates reflect the popularity skew).
-pub fn cold_deployment(
-    population: &Population,
-    config: &ServeConfig,
-) -> Deployment<IntervalDomain> {
-    Deployment::new(population.layout(), config.clone())
-}

@@ -28,10 +28,12 @@
 //! deployment-wide view is [`fold_stats`]: per-frontend counters sum (deployment counters are
 //! already shared), and the folded snapshot marks itself `shard == reactors`. I/O logs merge
 //! under the same global cap a standalone server has ([`merge_io_logs`], at most
-//! [`crate::ServeConfig::io_log_cap`] entries however many shards contributed).
+//! [`IO_LOG_CAP`] entries however many shards contributed).
 
 use crate::proto::StatsSnapshot;
-use crate::server::{IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, Transport};
+use crate::server::{
+    IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, Transport, IO_LOG_CAP,
+};
 use crate::{Deployment, Frontend};
 use anosy_core::SynthesizeInto;
 use anosy_domains::AbstractDomain;
@@ -109,12 +111,7 @@ impl ReactorPool {
                 let frontend = Frontend::new(deployment.share())
                     .with_conn_scoped_sessions()
                     .with_shard(shard, n);
-                let config = self
-                    .config
-                    .clone()
-                    .sharded(shard, n)
-                    .with_io_log_cap((deployment.config().io_log_cap / n as usize).max(1));
-                Server::new(frontend, transport, config)
+                Server::new(frontend, transport, self.config.clone().sharded(shard, n))
             })
             .collect()
     }
@@ -289,16 +286,16 @@ pub fn fold_server_stats(shards: &[ServerStats]) -> ServerStats {
     folded
 }
 
-/// Merges per-shard I/O logs under the deployment-wide cap ([`crate::ServeConfig::io_log_cap`]
-/// — the same bound a standalone server enforces): however many shards contributed, at most
-/// `cap` entries survive (the most recent ones, matching the per-server aging rule). Entries
-/// sort by their clock timestamp, ties broken by shard — under virtual clocks this reproduces
-/// the order a single unsharded reactor would have logged.
-pub fn merge_io_logs(shards: &[&[IoLogEntry]], cap: usize) -> Vec<IoLogEntry> {
+/// Merges per-shard I/O logs under the process-wide [`IO_LOG_CAP`] (the bound a standalone
+/// server enforces): however many shards contributed, at most `IO_LOG_CAP` entries survive
+/// (the most recent ones, matching the per-server aging rule). Entries sort by their clock
+/// timestamp, ties broken by shard — under virtual clocks this reproduces the order a single
+/// unsharded reactor would have logged.
+pub fn merge_io_logs(shards: &[&[IoLogEntry]]) -> Vec<IoLogEntry> {
     let mut merged: Vec<IoLogEntry> = shards.iter().flat_map(|log| log.iter().cloned()).collect();
     merged.sort_by_key(|entry| (entry.at, entry.shard));
-    if merged.len() > cap.max(1) {
-        merged.drain(..merged.len() - cap.max(1));
+    if merged.len() > IO_LOG_CAP {
+        merged.drain(..merged.len() - IO_LOG_CAP);
     }
     merged
 }
@@ -344,13 +341,11 @@ mod tests {
         // Shard 0's denials interleave in time with shard 1's.
         let a: Vec<IoLogEntry> = (0..40).map(|i| entry(0, 2 * i, "a")).collect();
         let b: Vec<IoLogEntry> = (0..40).map(|i| entry(1, 2 * i + 1, "b")).collect();
-        let merged = merge_io_logs(&[&a, &b], 64);
-        assert_eq!(merged.len(), 64);
+        let merged = merge_io_logs(&[&a, &b]);
+        assert_eq!(merged.len(), IO_LOG_CAP);
         // The most recent 64 of the 80 interleaved entries survive, in timestamp order.
         assert_eq!(merged.first().unwrap().at, 16);
         assert_eq!(merged.last().unwrap().at, 79);
         assert!(merged.windows(2).all(|w| w[0].at < w[1].at), "sorted by virtual time");
-        // The cap clamps to one, like the config knob.
-        assert_eq!(merge_io_logs(&[&a], 0).len(), 1);
     }
 }

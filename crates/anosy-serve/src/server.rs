@@ -113,9 +113,10 @@ pub trait Transport {
     }
 }
 
-/// Default cap on entries retained by [`Server::io_log`] (a whole serving process's budget —
-/// a [`crate::ReactorPool`] divides it across its shards so N reactors still expose at most
-/// this many merged entries).
+/// Cap on entries retained by [`Server::io_log`], older denials aging out so a stream of bad
+/// peers cannot grow memory. It is a whole serving process's budget: a [`crate::ReactorPool`]
+/// gives each shard an equal share and [`crate::merge_io_logs`] re-applies it to the merged
+/// log, so N reactors still expose at most this many entries.
 pub const IO_LOG_CAP: usize = 64;
 
 /// Reactor configuration.
@@ -137,15 +138,6 @@ pub struct ServerConfig {
     /// whose id hashes to another shard are refused — two shards must never bind the same
     /// logical id. `None` (default): the standalone allocation the stdio/TCP binary always had.
     pub shard: Option<(u64, u64)>,
-    /// Most recent entries retained by [`Server::io_log`]; older denials age out so a stream
-    /// of bad peers cannot grow memory.
-    pub io_log_cap: usize,
-    /// Install a telemetry [`Collector`] for the duration of [`Server::run`] (spans, counters
-    /// and latency histograms on this reactor's thread; harvest with
-    /// [`Server::telemetry_report`]). On by default; a no-op when the `telemetry` cargo
-    /// feature is off. The runtime toggle exists so the overhead of *recording* can be
-    /// measured inside one build — `report_serve` benches both settings.
-    pub telemetry: bool,
 }
 
 impl ServerConfig {
@@ -156,8 +148,6 @@ impl ServerConfig {
             max_line: wire::MAX_LINE_BYTES,
             record_transcript: false,
             shard: None,
-            io_log_cap: IO_LOG_CAP,
-            telemetry: true,
         }
     }
 
@@ -182,18 +172,6 @@ impl ServerConfig {
     /// Marks this server as reactor shard `shard` of `reactors` (see [`ServerConfig::shard`]).
     pub fn sharded(mut self, shard: u64, reactors: u64) -> ServerConfig {
         self.shard = Some((shard, reactors.max(1)));
-        self
-    }
-
-    /// Overrides the [`Server::io_log`] retention cap (clamped to at least one entry).
-    pub fn with_io_log_cap(mut self, cap: usize) -> ServerConfig {
-        self.io_log_cap = cap.max(1);
-        self
-    }
-
-    /// Turns telemetry recording on or off for this server's [`Server::run`].
-    pub fn with_telemetry(mut self, telemetry: bool) -> ServerConfig {
-        self.telemetry = telemetry;
         self
     }
 }
@@ -433,10 +411,8 @@ where
     /// Runs the event loop until the transport reports itself finished, then flushes one final
     /// tick so queued work (ticked-mode stragglers, trailing teardowns) settles.
     pub fn run(&mut self) {
-        if self.config.telemetry {
-            let shard = self.config.shard.map(|(shard, _)| shard).unwrap_or(0);
-            telemetry::install(Collector::new(self.clock.clone(), shard));
-        }
+        let shard = self.config.shard.map(|(shard, _)| shard).unwrap_or(0);
+        telemetry::install(Collector::new(self.clock.clone(), shard));
         loop {
             let events = self.transport.poll();
             if events.is_empty() {
@@ -447,9 +423,7 @@ where
             }
         }
         self.tick_and_route();
-        if self.config.telemetry {
-            self.telemetry = telemetry::uninstall();
-        }
+        self.telemetry = telemetry::uninstall();
     }
 
     fn on_event(&mut self, event: Event) {
@@ -547,7 +521,12 @@ where
             reason,
         };
         eprintln!("{entry}");
-        if self.io_log.len() >= self.config.io_log_cap {
+        // A shard keeps its share of the process-wide cap, so merged shard logs stay bounded.
+        let cap = match self.config.shard {
+            Some((_, reactors)) => (IO_LOG_CAP / reactors as usize).max(1),
+            None => IO_LOG_CAP,
+        };
+        if self.io_log.len() >= cap {
             self.io_log.remove(0);
         }
         self.io_log.push(entry);
@@ -790,15 +769,16 @@ where
     }
 
     /// Logged per-connection denials (I/O failures downgraded to connection closes): the most
-    /// recent [`ServerConfig::io_log_cap`] entries, each tagged with its reactor shard and a
-    /// clock timestamp. Each is also written to stderr as it happens.
+    /// recent [`IO_LOG_CAP`] entries (a pool shard keeps `IO_LOG_CAP / reactors`), each tagged
+    /// with its reactor shard and a clock timestamp. Each is also written to stderr as it
+    /// happens.
     pub fn io_log(&self) -> &[IoLogEntry] {
         &self.io_log
     }
 
     /// The telemetry this server's [`Server::run`] recorded: spans, counters and latency
-    /// histograms. `None` before the run, when [`ServerConfig::telemetry`] was off, or when
-    /// the `telemetry` cargo feature is compiled out.
+    /// histograms. `None` before the run, or when the `telemetry` cargo feature is compiled
+    /// out.
     pub fn telemetry_report(&self) -> Option<&Report> {
         self.telemetry.as_ref()
     }

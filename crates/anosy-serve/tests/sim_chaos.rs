@@ -21,7 +21,10 @@
 mod support;
 
 use anosy_domains::IntervalDomain;
-use anosy_serve::{Frontend, Server, ServerConfig, SimNet, Token, TranscriptEvent};
+use anosy_serve::{
+    merge_io_logs, Frontend, IoLogEntry, ReactorPool, Server, ServerConfig, SimNet, Token,
+    TranscriptEvent, IO_LOG_CAP,
+};
 use rand::Rng;
 
 type SimServer = Server<IntervalDomain, SimNet>;
@@ -312,6 +315,44 @@ fn a_bad_peers_io_error_closes_only_its_connection() {
     let cache = server.frontend().deployment().stats().cache;
     assert_eq!(cache.sessions_opened, 2);
     assert_eq!(cache.sessions_closed, 2);
+}
+
+/// Connects `failures` peers, one after another, and fails each with an injected I/O error
+/// numbered in arrival order.
+fn failing_peers(sim: &mut SimNet, failures: usize) -> Vec<Token> {
+    (0..failures as u64)
+        .map(|i| {
+            let client = sim.connect(i * 100);
+            sim.io_error(client, i * 100 + 50, &format!("failure {i}"));
+            client
+        })
+        .collect()
+}
+
+#[test]
+fn the_io_log_keeps_only_the_newest_entries() {
+    let seed = base_seed().wrapping_add(4);
+    let failures = IO_LOG_CAP + 1;
+    let (server, _) = run_scenario(seed, false, |sim| failing_peers(sim, failures));
+    assert_eq!(server.stats().conn_failures, failures as u64, "every failure was observed");
+    let reasons: Vec<&str> = server.io_log().iter().map(|e| e.reason.as_str()).collect();
+    assert_eq!(reasons.len(), IO_LOG_CAP, "the log is bounded");
+    assert!(reasons[0].contains("failure 1"), "the oldest entry aged out: {reasons:?}");
+    assert!(reasons[IO_LOG_CAP - 1].contains(&format!("failure {IO_LOG_CAP}")));
+
+    // A two-reactor pool splits the cap between its shards, so the merged log stays bounded.
+    let mut sim = SimNet::new(seed);
+    failing_peers(&mut sim, 2 * IO_LOG_CAP);
+    let deployment = support::warm_deployment();
+    let servers = ReactorPool::new(2).run(&deployment, sim.split(2));
+    for shard in &servers {
+        let share = (shard.stats().conn_failures as usize).min(IO_LOG_CAP / 2);
+        assert_eq!(shard.io_log().len(), share, "each shard keeps its share of the cap");
+    }
+    let failed: u64 = servers.iter().map(|s| s.stats().conn_failures).sum();
+    assert_eq!(failed, 2 * IO_LOG_CAP as u64);
+    let logs: Vec<&[IoLogEntry]> = servers.iter().map(|s| s.io_log()).collect();
+    assert!(merge_io_logs(&logs).len() <= IO_LOG_CAP);
 }
 
 // ---------------------------------------------------------------------------

@@ -76,9 +76,10 @@ fn merged_metrics_are_invariant_under_the_reactor_count() {
         base.report.stats.requests,
         "the telemetry counter and the frontend ledger agree"
     );
-    assert!(base.report.latency.count > 0, "request latencies were measured");
-    assert!(base.report.latency.p50 <= base.report.latency.p99);
-    assert!(base.report.latency.p99 <= base.report.latency.max);
+    let latency = base_metrics.histogram("request.latency").expect("latencies were recorded");
+    assert!(latency.count() > 0, "request latencies were measured");
+    assert!(latency.quantile(0.50) <= latency.quantile(0.99));
+    assert!(latency.quantile(0.99) <= latency.max());
 
     for reactors in [2u64, 4] {
         let sharded = run_at(seed, net_seed, 24, reactors);
@@ -132,17 +133,6 @@ fn single_reactor_traces_replay_byte_identically() {
     // two empty strings' worth of recording).
     let other = run_at(seed, net_seed.wrapping_add(1), 16, 1);
     assert_ne!(trace, trace_json(&other.telemetry));
-}
-
-#[test]
-fn telemetry_off_runs_record_nothing() {
-    let seed = base_seed().wrapping_add(8_400);
-    let population = loadgen::population(seed, 12);
-    let run = loadgen::run(&population, &LoadOptions::new(seed, 2).telemetry(false));
-    assert!(run.telemetry.is_empty(), "no collector, no reports");
-    assert_eq!(run.report.latency, loadgen::LatencySummary::default());
-    assert!(merge_metrics(&run.telemetry).is_empty());
-    assert_eq!(trace_json(&run.telemetry), "[]");
 }
 
 #[test]

@@ -113,11 +113,15 @@ fn bad_arguments_fail_with_usage() {
         .expect("anosy-served runs");
     assert_eq!(output.status.code(), Some(2), "--accept without --listen is refused");
 
-    // Modifier flags without the option they modify are refused, not silently ignored.
+    // Modifier flags without the option they modify, and unknown flags, are refused, not
+    // silently ignored.
     for (args, what) in [
         (&["--compact-every", "3"][..], "--compact-every without --journal"),
         (&["--journal-flush", "on-tick"][..], "--journal-flush without --journal"),
         (&["--verify-on-load"][..], "--verify-on-load without --warm-start or --journal"),
+        (&["--listen", "127.0.0.1:0", "--tick-ms", "5"][..], "--tick-ms without --ticked"),
+        (&["--no-telemetry"][..], "the unknown flag --no-telemetry"),
+        (&["--io-log-cap", "8"][..], "the unknown flag --io-log-cap"),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
             .args(["--layout", "x:0:400 y:0:400"])

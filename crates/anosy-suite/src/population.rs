@@ -478,23 +478,6 @@ impl Population {
             .sum()
     }
 
-    /// How many distinct palette queries some tenant actually uses.
-    pub fn distinct_queries_used(&self) -> usize {
-        let mut used = vec![false; self.queries.len()];
-        for tenant in &self.tenants {
-            for burst in &tenant.bursts {
-                for action in burst {
-                    if let TenantAction::Register { query }
-                    | TenantAction::Downgrade { query, .. } = action
-                    {
-                        used[*query] = true;
-                    }
-                }
-            }
-        }
-        used.into_iter().filter(|&u| u).count()
-    }
-
     /// Number of tenants per [`Exit`] shape `(clean, abandon, linger)`.
     pub fn exit_profile(&self) -> (usize, usize, usize) {
         let mut profile = (0, 0, 0);

@@ -208,9 +208,9 @@ pub fn render_fig5(rows: &[Fig5Row]) -> String {
 /// is a number or a short identifier.
 ///
 /// The document records the measuring host's parallelism next to a `capped_by_host` flag, the
-/// same pair the serve reports carry per parallel row. Figure 5's synthesis and verification
-/// run on one thread (`workers = 1`), so the flag is `false` on any host — it exists so
-/// tooling can check every `BENCH_*.json` uniformly instead of special-casing this document.
+/// same pair the older serve documents (`BENCH_pr3.json` on) carry per parallel row. Figure 5's
+/// synthesis and verification run on one thread (`workers = 1`), so the flag is `false` on any
+/// host — it exists so tooling can check every `BENCH_*.json` uniformly.
 pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"figure\": \"{domain_label}\",\n"));
@@ -250,1111 +250,17 @@ pub fn quick_synth_config() -> SynthConfig {
     SynthConfig::new().with_solver(SolverConfig::for_tests()).with_seeds(1)
 }
 
-/// One row of the serving-throughput comparison (`report_serve`, `BENCH_pr3.json`): for one
-/// fig5 benchmark, the sequential per-call downgrade loop vs the deployment's batched driver,
-/// and the sequential model count vs the sharded parallel driver.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Benchmark short id.
-    pub id: String,
-    /// The knowledge domain the downgrade workload ran in (`interval` or `powerset<k>`).
-    pub domain: String,
-    /// How many secrets the downgrade workload used.
-    pub secrets: usize,
-    /// Worker threads in the deployment pool.
-    pub workers: usize,
-    /// Wall-clock of the sequential `downgrade` loop (the PR 2 serving baseline).
-    pub seq_downgrade_seconds: f64,
-    /// Wall-clock of `downgrade_batch` over the same secrets on a fresh session.
-    pub batch_downgrade_seconds: f64,
-    /// `seq_downgrade_seconds / batch_downgrade_seconds`.
-    pub downgrade_speedup: f64,
-    /// Wall-clock of the sequential exact model count of the query's True set.
-    pub seq_count_seconds: f64,
-    /// Wall-clock of the sharded parallel count (same result, checked).
-    pub par_count_seconds: f64,
-    /// `seq_count_seconds / par_count_seconds`.
-    pub count_speedup: f64,
-    /// The (identical) model count both drivers returned.
-    pub models: u128,
-}
-
-/// Escapes a string for embedding in the hand-rolled JSON documents (quotes, backslashes and
-/// control characters; the workspace carries no serde).
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Hardware threads of the measuring host (the ceiling on any wall-clock speedup thread
-/// parallelism can deliver; recorded in the serve report so readers can interpret the ratios).
+/// parallelism can deliver; recorded in the JSON reports so readers can interpret the ratios).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Whether a measurement that spread work over `workers` threads was capped by the host: with
 /// fewer hardware threads than workers, wall-clock ratios measure batching/protocol overhead,
-/// not scaling. Recorded per parallel row in the JSON reports so readers (and tooling) don't
-/// have to infer it from the prose analysis.
+/// not scaling. Recorded in the JSON reports so readers (and tooling) don't have to infer it.
 pub fn capped_by_host(workers: usize) -> bool {
     host_parallelism() < workers
-}
-
-/// Deterministic pseudo-random secrets inside a layout (seeded per benchmark, reproducible
-/// across runs and platforms — the rand shim is SplitMix64).
-pub fn deterministic_secrets(layout: &SecretLayout, n: usize, seed: u64) -> Vec<Point> {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            Point::new(layout.fields().iter().map(|f| rng.gen_range(f.lo()..=f.hi())).collect())
-        })
-        .collect()
-}
-
-/// Runs the serving workload for every fig5 benchmark: register the query once in a deployment
-/// (shared synthesis), then downgrade `secrets_per_benchmark` deterministic secrets — once with
-/// the sequential per-call loop, once with the batched driver — and exact-count the True ind.
-/// set sequentially and with the sharded parallel driver. Batched results are asserted equal to
-/// the loop's before any timing is reported.
-///
-/// `members` selects the knowledge domain: `None` is fig5a (intervals), `Some(k)` fig5b
-/// (powersets of size `k`, whose meets carry more work per downgrade).
-pub fn serve_rows<D>(
-    workers: usize,
-    secrets_per_benchmark: usize,
-    synth_config: &SynthConfig,
-    members: Option<usize>,
-) -> Vec<ServeRow>
-where
-    D: AbstractDomain + anosy::core::SynthesizeInto + Send + Sync + 'static,
-{
-    use anosy::core::MinSizePolicy;
-    use anosy::serve::{Deployment, ServeConfig};
-
-    let domain_label = match members {
-        None => "interval".to_string(),
-        Some(k) => format!("powerset{k}"),
-    };
-    all_benchmarks()
-        .into_iter()
-        .enumerate()
-        .map(|(index, b)| {
-            let layout = b.query.layout().clone();
-            let serve_config =
-                ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
-            let deployment: Deployment<D> = Deployment::new(layout.clone(), serve_config);
-            deployment
-                .register_query(&b.query, ApproxKind::Under, members)
-                .expect("benchmark synthesis fits the budget");
-            let register = |session: &mut AnosySession<D>| {
-                let mut synth = Synthesizer::with_config(synth_config.clone());
-                session
-                    .register_synthesized(&mut synth, &b.query, ApproxKind::Under, members)
-                    .expect("cache hit");
-            };
-            let secrets =
-                deterministic_secrets(&layout, secrets_per_benchmark, 0xA05F + index as u64);
-            let name = b.query.name();
-
-            // Sequential baseline: the per-call loop of PR 2.
-            let mut seq_session = deployment.session(MinSizePolicy::new(100));
-            register(&mut seq_session);
-            let started = Instant::now();
-            let seq_results: Vec<Option<bool>> = secrets
-                .iter()
-                .map(|p| seq_session.downgrade(&Protected::new(p.clone()), name).ok())
-                .collect();
-            let seq_downgrade = started.elapsed();
-
-            // Batched driver on a fresh session of the same deployment.
-            let mut batch_session = deployment.session(MinSizePolicy::new(100));
-            register(&mut batch_session);
-            let started = Instant::now();
-            let batch_results = deployment.downgrade_batch(&mut batch_session, &secrets, name);
-            let batch_downgrade = started.elapsed();
-            let batch_results: Vec<Option<bool>> =
-                batch_results.into_iter().map(Result::ok).collect();
-            assert_eq!(batch_results, seq_results, "{}: batch diverged from the loop", b.id);
-            assert_eq!(batch_session.stats(), seq_session.stats());
-
-            // Exact counting: sequential vs sharded.
-            let space = layout.space();
-            let mut solver = Solver::with_config(synth_config.solver.clone());
-            let started = Instant::now();
-            let seq_models =
-                solver.count_models(b.query.pred(), &space).expect("counting fits the budget");
-            let seq_count = started.elapsed();
-            let started = Instant::now();
-            let sharded = deployment
-                .par_count_models(b.query.pred(), &space)
-                .expect("sharded counting fits the budget");
-            let par_count = started.elapsed();
-            assert_eq!(sharded.value, seq_models, "{}: sharded count diverged", b.id);
-
-            ServeRow {
-                id: b.id.short().to_string(),
-                domain: domain_label.clone(),
-                secrets: secrets_per_benchmark,
-                workers,
-                seq_downgrade_seconds: seq_downgrade.as_secs_f64(),
-                batch_downgrade_seconds: batch_downgrade.as_secs_f64(),
-                downgrade_speedup: seq_downgrade.as_secs_f64()
-                    / batch_downgrade.as_secs_f64().max(1e-12),
-                seq_count_seconds: seq_count.as_secs_f64(),
-                par_count_seconds: par_count.as_secs_f64(),
-                count_speedup: seq_count.as_secs_f64() / par_count.as_secs_f64().max(1e-12),
-                models: seq_models,
-            }
-        })
-        .collect()
-}
-
-/// One row of the frontend tick-throughput comparison (`report_serve`, `BENCH_pr4.json` →
-/// `BENCH_pr10.json`): the same downgrade workload pushed through
-/// [`anosy::serve::Frontend`] ticks of `batch_size` requests vs handed to
-/// [`anosy::serve::Deployment::downgrade_batch`] directly in chunks of the same size. The gap
-/// between the two is the protocol tax (request queueing, per-tick regrouping, response
-/// tagging); it shrinks as the batch grows and the batched driver dominates. The `wire_`
-/// columns add the binary frame codec on top (one framed `Downgrade` per request), and the
-/// `bulk_` columns are the bulk client shape: one framed `DowngradeBatch` carrying the whole
-/// tick — the form a throughput-conscious binary client actually speaks.
-#[derive(Debug, Clone)]
-pub struct FrontendRow {
-    /// Downgrade requests accumulated per tick (and per direct driver call).
-    pub batch_size: usize,
-    /// Total downgrade requests pushed through each path.
-    pub requests: usize,
-    /// Worker threads in the deployment pool.
-    pub workers: usize,
-    /// Wall-clock of the frontend path (submit + tick + response collection).
-    pub frontend_seconds: f64,
-    /// Requests per second through the frontend.
-    pub frontend_rps: f64,
-    /// Wall-clock of the direct `downgrade_batch` path over the same secrets.
-    pub direct_seconds: f64,
-    /// Requests per second through the direct driver.
-    pub direct_rps: f64,
-    /// Wall-clock of the binary wire path: pre-framed request bytes through
-    /// [`anosy::serve::wire::FrameDecoder`] + zero-copy interned parsing + submit + tick,
-    /// one framed `Downgrade` request per secret.
-    pub wire_seconds: f64,
-    /// Requests per second through the binary wire path.
-    pub wire_rps: f64,
-    /// Wall-clock of the bulk binary wire path: one framed `DowngradeBatch` per tick of
-    /// `batch_size` secrets, through the same decode → parse → submit → tick ingress.
-    pub bulk_seconds: f64,
-    /// Requests per second through the bulk binary wire path.
-    pub bulk_rps: f64,
-}
-
-/// Measures frontend tick throughput vs the direct batched driver on the first fig5 benchmark
-/// (birthday), at each of the given batch sizes. Two more paths price the full binary protocol
-/// stack: the same requests pre-encoded as checksummed wire frames (one `Downgrade` frame per
-/// secret, and one bulk `DowngradeBatch` frame per tick), then frame decode → zero-copy
-/// interned parse → submit → tick measured end to end. Every path runs best-of-5 on a fresh
-/// session (downgrades refine tracked knowledge, so repeats must not chain), and all response
-/// streams are asserted element-wise equal to the direct driver's on every repeat before the
-/// timings are reported.
-pub fn frontend_rows(
-    workers: usize,
-    total_requests: usize,
-    synth_config: &SynthConfig,
-    batch_sizes: &[usize],
-) -> Vec<FrontendRow> {
-    use anosy::core::PolicySpec;
-    use anosy::serve::{wire, Deployment, Frontend, ServeRequest, ServeResponse, SessionId};
-
-    const REPEATS: usize = 5;
-    let b = all_benchmarks().into_iter().next().expect("fig5 has benchmarks");
-    let layout = b.query.layout().clone();
-    let name: std::sync::Arc<str> = b.query.name().into();
-    batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            let serve_config =
-                ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
-            let deployment: Deployment<IntervalDomain> =
-                Deployment::new(layout.clone(), serve_config);
-            deployment
-                .register_query(&b.query, ApproxKind::Under, None)
-                .expect("benchmark synthesis fits the budget");
-            let secrets = deterministic_secrets(&layout, total_requests, 0xF407);
-            let session = SessionId(1);
-
-            // A fresh frontend per repeat: each gets its own session 1 (registration is a
-            // pure cache hit against the shared deployment), because downgrades refine the
-            // session's tracked knowledge — repeats on one session would answer differently.
-            let fresh_frontend = || {
-                let mut frontend = Frontend::new(deployment.share());
-                let conn = frontend.connect();
-                frontend.submit(
-                    conn,
-                    ServeRequest::RegisterQuery {
-                        query: b.query.clone(),
-                        kind: ApproxKind::Under,
-                        members: None,
-                    },
-                );
-                frontend
-                    .submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(10) });
-                frontend.tick();
-                (frontend, conn)
-            };
-
-            // Direct path: a fresh session per repeat, the secrets through the batched
-            // driver in chunks of `batch_size`.
-            let mut direct_results: Vec<Option<bool>> = Vec::new();
-            let mut direct_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let mut direct_session = deployment.session(PolicySpec::MinSize(10));
-                direct_session
-                    .register_cached(&b.query, ApproxKind::Under, None)
-                    .expect("the deployment cache is warm");
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for chunk in secrets.chunks(batch_size) {
-                    results.extend(
-                        deployment
-                            .downgrade_batch(&mut direct_session, chunk, &name)
-                            .into_iter()
-                            .map(Result::ok),
-                    );
-                }
-                direct_elapsed = direct_elapsed.min(started.elapsed().as_secs_f64());
-                if direct_results.is_empty() {
-                    direct_results = results;
-                } else {
-                    assert_eq!(results, direct_results, "direct repeats diverged");
-                }
-            }
-
-            // Frontend path: ticks of `batch_size` typed downgrade requests each.
-            let mut frontend_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for chunk in secrets.chunks(batch_size) {
-                    for secret in chunk {
-                        frontend.submit(
-                            conn,
-                            ServeRequest::Downgrade {
-                                session,
-                                secret: secret.clone(),
-                                query: name.clone(),
-                            },
-                        );
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answer(result) => results.push(result.ok()),
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                frontend_elapsed = frontend_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "frontend diverged from the direct driver at batch size {batch_size}"
-                );
-            }
-
-            // Binary wire path: the same workload as framed protocol bytes, one `Downgrade`
-            // frame per secret. Encoding and framing happen ahead of time (that work belongs
-            // to the client); the timed loop is the server-side ingress — incremental frame
-            // decode, zero-copy interned parse, submit, tick.
-            let framed_chunks: Vec<Vec<u8>> = secrets
-                .chunks(batch_size)
-                .map(|chunk| {
-                    let mut bytes = Vec::new();
-                    for secret in chunk {
-                        let line = wire::encode_request(&ServeRequest::Downgrade {
-                            session,
-                            secret: secret.clone(),
-                            query: name.clone(),
-                        })
-                        .expect("downgrade requests are wire-safe");
-                        wire::frame_into(&mut bytes, line.as_bytes());
-                    }
-                    bytes
-                })
-                .collect();
-            let mut wire_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let mut interner = wire::NameInterner::new();
-                let mut decoder = wire::FrameDecoder::new();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for bytes in &framed_chunks {
-                    for frame in decoder.feed(bytes) {
-                        let payload = match frame {
-                            wire::DecodedFrame::Frame(payload) => payload,
-                            other => panic!("unexpected frame unit {other:?}"),
-                        };
-                        let text =
-                            std::str::from_utf8(&payload).expect("framed requests are UTF-8");
-                        let request = wire::parse_request_interned(text, &layout, &mut interner)
-                            .expect("framed requests parse");
-                        frontend.submit(conn, request);
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answer(result) => results.push(result.ok()),
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                wire_elapsed = wire_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "the binary wire path diverged from the direct driver at batch size \
-                     {batch_size}"
-                );
-            }
-
-            // Bulk binary wire path: one `DowngradeBatch` frame carries the whole tick —
-            // the shape a throughput-conscious binary client speaks at this batch size.
-            let bulk_frames: Vec<Vec<u8>> = secrets
-                .chunks(batch_size)
-                .map(|chunk| {
-                    let line = wire::encode_request(&ServeRequest::DowngradeBatch {
-                        session,
-                        secrets: chunk.to_vec(),
-                        query: name.clone(),
-                    })
-                    .expect("batch requests are wire-safe");
-                    wire::encode_frame(line.as_bytes())
-                })
-                .collect();
-            let mut bulk_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let mut interner = wire::NameInterner::new();
-                let mut decoder = wire::FrameDecoder::new();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for bytes in &bulk_frames {
-                    for frame in decoder.feed(bytes) {
-                        let payload = match frame {
-                            wire::DecodedFrame::Frame(payload) => payload,
-                            other => panic!("unexpected frame unit {other:?}"),
-                        };
-                        let text =
-                            std::str::from_utf8(&payload).expect("framed requests are UTF-8");
-                        let request = wire::parse_request_interned(text, &layout, &mut interner)
-                            .expect("framed requests parse");
-                        frontend.submit(conn, request);
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answers(answers) => {
-                                results.extend(answers.into_iter().map(Result::ok));
-                            }
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                bulk_elapsed = bulk_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "the bulk wire path diverged from the direct driver at batch size \
-                     {batch_size}"
-                );
-            }
-
-            FrontendRow {
-                batch_size,
-                requests: total_requests,
-                workers,
-                frontend_seconds: frontend_elapsed,
-                frontend_rps: total_requests as f64 / frontend_elapsed.max(1e-12),
-                direct_seconds: direct_elapsed,
-                direct_rps: total_requests as f64 / direct_elapsed.max(1e-12),
-                wire_seconds: wire_elapsed,
-                wire_rps: total_requests as f64 / wire_elapsed.max(1e-12),
-                bulk_seconds: bulk_elapsed,
-                bulk_rps: total_requests as f64 / bulk_elapsed.max(1e-12),
-            }
-        })
-        .collect()
-}
-
-/// Renders frontend rows as aligned text.
-pub fn render_frontend(rows: &[FrontendRow]) -> String {
-    let mut out = String::from(
-        "Batch  Requests  Workers  Frontend (s / req/s)        Wire (s / req/s)            Bulk wire (s / req/s)       Direct (s / req/s)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:>8}  {:>7}  {:>8.4} / {:<12.0} {:>8.4} / {:<12.0} {:>8.4} / {:<12.0} {:>8.4} / {:<12.0}\n",
-            r.batch_size,
-            r.requests,
-            r.workers,
-            r.frontend_seconds,
-            r.frontend_rps,
-            r.wire_seconds,
-            r.wire_rps,
-            r.bulk_seconds,
-            r.bulk_rps,
-            r.direct_seconds,
-            r.direct_rps,
-        ));
-    }
-    out
-}
-
-/// Renders serve rows as aligned text.
-pub fn render_serve(rows: &[ServeRow]) -> String {
-    let mut out = String::from(
-        "#    Domain     Secrets  Workers  Downgrades seq/batch (s)   Speedup  Count seq/par (s)    Speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<4} {:<9} {:>7}  {:>7}  {:>10.4} / {:<10.4} {:>6.2}x  {:>8.4} / {:<8.4} {:>6.2}x\n",
-            r.id,
-            r.domain,
-            r.secrets,
-            r.workers,
-            r.seq_downgrade_seconds,
-            r.batch_downgrade_seconds,
-            r.downgrade_speedup,
-            r.seq_count_seconds,
-            r.par_count_seconds,
-            r.count_speedup,
-        ));
-    }
-    out
-}
-
-/// One row of the multi-reactor transport comparison (`report_serve --json`'s
-/// `transport_rows`, recorded as `BENCH_pr7.json`): the seeded `SimNet` load generator driven
-/// through a [`anosy::serve::ReactorPool`] at one reactor count.
-#[derive(Debug, Clone)]
-pub struct TransportRow {
-    /// Reactor shards the pool ran.
-    pub reactors: u64,
-    /// Simulated connections (tenants) driven.
-    pub connections: usize,
-    /// Protocol requests scheduled across all connections.
-    pub requests: usize,
-    /// Wall-clock of the pool run.
-    pub seconds: f64,
-    /// `requests / seconds`.
-    pub requests_per_sec: f64,
-    /// This row's throughput over the `reactors = 1` row's.
-    pub speedup_vs_one: f64,
-    /// `host_parallelism() < reactors` — the row cannot demonstrate reactor scaling on this
-    /// host (see [`capped_by_host`]).
-    pub capped_by_host: bool,
-}
-
-/// Runs the `SimNet` load generator ([`anosy::serve::loadgen`]) at every reactor count in
-/// `counts` and measures end-to-end throughput. **Equivalence is asserted before anything is
-/// timed**: every multi-reactor run must deliver per-connection response streams element-wise
-/// identical to the single-reactor run's ([`anosy::serve::loadgen::assert_equivalent`]). The
-/// timed runs then share one warmed deployment so synthesis cost and cache state are held
-/// fixed across counts.
-pub fn transport_rows(
-    tenants: usize,
-    population_seed: u64,
-    net_seed: u64,
-    counts: &[u64],
-) -> Vec<TransportRow> {
-    use anosy::serve::loadgen::{self, LoadOptions};
-
-    let population = loadgen::population(population_seed, tenants);
-    let base = loadgen::run(&population, &LoadOptions::new(net_seed, 1).recording());
-    for &reactors in counts {
-        if reactors != 1 {
-            let other =
-                loadgen::run(&population, &LoadOptions::new(net_seed, reactors).recording());
-            loadgen::assert_equivalent(&base, &other);
-        }
-    }
-
-    let deployment =
-        anosy::serve::popsim::warm_deployment(&population, &anosy::serve::ServeConfig::for_tests());
-    let mut rows: Vec<TransportRow> = Vec::new();
-    for &reactors in counts {
-        let run = loadgen::run_on(&population, &LoadOptions::new(net_seed, reactors), &deployment);
-        let report = &run.report;
-        let speedup_vs_one = match rows.first() {
-            Some(first) if first.reactors == 1 && first.requests_per_sec > 0.0 => {
-                report.requests_per_sec / first.requests_per_sec
-            }
-            _ => 1.0,
-        };
-        rows.push(TransportRow {
-            reactors,
-            connections: report.connections,
-            requests: report.requests,
-            seconds: report.elapsed.as_secs_f64(),
-            requests_per_sec: report.requests_per_sec,
-            speedup_vs_one,
-            capped_by_host: capped_by_host(reactors as usize),
-        });
-    }
-    rows
-}
-
-/// Renders transport rows as an aligned text table (the `--json`-less `report_serve` output).
-pub fn render_transport(rows: &[TransportRow]) -> String {
-    let mut out = String::from(
-        "Reactors  Conns  Requests  Seconds      req/s  vs 1 reactor  Capped by host\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>5}  {:>8}  {:>7.4}  {:>9.1}  {:>11.2}x  {}\n",
-            r.reactors,
-            r.connections,
-            r.requests,
-            r.seconds,
-            r.requests_per_sec,
-            r.speedup_vs_one,
-            r.capped_by_host,
-        ));
-    }
-    out
-}
-
-/// One row of the telemetry overhead comparison (`report_serve --json`'s `telemetry_rows`,
-/// recorded as `BENCH_pr8.json`): the same seeded load run with per-reactor telemetry
-/// collectors installed vs skipped ([`anosy::serve::loadgen::LoadOptions::telemetry`]). The
-/// PR 8 overhead budget is `overhead_pct <= 5`.
-#[derive(Debug, Clone)]
-pub struct TelemetryRow {
-    /// Reactor shards the pool ran.
-    pub reactors: u64,
-    /// Protocol requests scheduled across all connections.
-    pub requests: usize,
-    /// Best-of-N wall-clock with collectors off / on.
-    pub off_seconds: f64,
-    /// Best-of-N wall-clock with collectors on.
-    pub on_seconds: f64,
-    /// Throughput with collectors off.
-    pub off_rps: f64,
-    /// Throughput with collectors on.
-    pub on_rps: f64,
-    /// `(off_rps - on_rps) / off_rps * 100` — positive means recording cost throughput.
-    pub overhead_pct: f64,
-    /// Request-latency tail of the telemetry-on run, in **virtual time** (seed-stable).
-    pub latency_p50: u64,
-    /// 99th-percentile virtual request latency.
-    pub latency_p99: u64,
-    /// Worst virtual request latency.
-    pub latency_max: u64,
-}
-
-/// One per-shard row of the reactor-skew breakdown (`report_serve --json`'s `shard_skew`):
-/// how unevenly the hashed connections loaded the shards, read from each reactor's telemetry
-/// report. Queue depths and latencies are in the simulator's virtual time, so the skew shape
-/// is a pure function of the seeds.
-#[derive(Debug, Clone)]
-pub struct ShardSkewRow {
-    /// Reactor count of the run this shard belonged to.
-    pub reactors: u64,
-    /// The shard (reactor index).
-    pub shard: u64,
-    /// Wire requests this shard parsed (`wire.requests`).
-    pub requests: u64,
-    /// Median queued work observed at tick time (`tick.queue_depth`).
-    pub queue_p50: u64,
-    /// 99th-percentile queue depth — the burst exposure of this shard.
-    pub queue_p99: u64,
-    /// Median virtual request latency on this shard (`request.latency`).
-    pub latency_p50: u64,
-    /// 99th-percentile virtual request latency on this shard.
-    pub latency_p99: u64,
-}
-
-/// Measures telemetry overhead and per-shard skew with the `SimNet` load generator: at every
-/// reactor count in `counts`, the same seeded population runs with collectors off and on
-/// (best wall-clock of `iterations` runs each, one shared warmed deployment throughout), and
-/// the telemetry-on run's per-shard reports become the [`ShardSkewRow`]s.
-pub fn telemetry_rows(
-    tenants: usize,
-    population_seed: u64,
-    net_seed: u64,
-    counts: &[u64],
-    iterations: usize,
-) -> (Vec<TelemetryRow>, Vec<ShardSkewRow>) {
-    use anosy::serve::loadgen::{self, LoadOptions};
-
-    let population = loadgen::population(population_seed, tenants);
-    let deployment =
-        anosy::serve::popsim::warm_deployment(&population, &anosy::serve::ServeConfig::for_tests());
-    let mut rows = Vec::new();
-    let mut skew = Vec::new();
-    for &reactors in counts {
-        // The off and on runs interleave within each iteration — host clock-frequency drift
-        // then biases both sides of the best-of equally instead of whichever batch ran in the
-        // faster window.
-        let mut best_off: Option<loadgen::PoolRun> = None;
-        let mut best_on: Option<loadgen::PoolRun> = None;
-        for _ in 0..iterations.max(1) {
-            for (telemetry, slot) in [(false, &mut best_off), (true, &mut best_on)] {
-                let options = LoadOptions::new(net_seed, reactors).telemetry(telemetry);
-                let run = loadgen::run_on(&population, &options, &deployment);
-                if slot.as_ref().is_none_or(|b| run.report.elapsed < b.report.elapsed) {
-                    *slot = Some(run);
-                }
-            }
-        }
-        let off = best_off.expect("at least one iteration ran");
-        let on = best_on.expect("at least one iteration ran");
-        let off_rps = off.report.requests_per_sec;
-        let on_rps = on.report.requests_per_sec;
-        rows.push(TelemetryRow {
-            reactors,
-            requests: on.report.requests,
-            off_seconds: off.report.elapsed.as_secs_f64(),
-            on_seconds: on.report.elapsed.as_secs_f64(),
-            off_rps,
-            on_rps,
-            overhead_pct: (off_rps - on_rps) / off_rps.max(1e-9) * 100.0,
-            latency_p50: on.report.latency.p50,
-            latency_p99: on.report.latency.p99,
-            latency_max: on.report.latency.max,
-        });
-        for report in &on.telemetry {
-            let quantiles = |name: &str| {
-                report
-                    .metrics
-                    .histogram(name)
-                    .map(|h| (h.quantile(0.50), h.quantile(0.99)))
-                    .unwrap_or((0, 0))
-            };
-            let (queue_p50, queue_p99) = quantiles("tick.queue_depth");
-            let (latency_p50, latency_p99) = quantiles("request.latency");
-            skew.push(ShardSkewRow {
-                reactors,
-                shard: report.shard,
-                requests: report.metrics.counter("wire.requests"),
-                queue_p50,
-                queue_p99,
-                latency_p50,
-                latency_p99,
-            });
-        }
-    }
-    (rows, skew)
-}
-
-/// Renders telemetry overhead rows as an aligned text table.
-pub fn render_telemetry(rows: &[TelemetryRow]) -> String {
-    let mut out = String::from(
-        "Reactors  Requests   off req/s    on req/s  Overhead  Lat p50/p99/max (virtual)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>8}  {:>10.1}  {:>10.1}  {:>7.2}%  {}/{}/{}\n",
-            r.reactors,
-            r.requests,
-            r.off_rps,
-            r.on_rps,
-            r.overhead_pct,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_max,
-        ));
-    }
-    out
-}
-
-/// Renders the per-shard skew rows as an aligned text table.
-pub fn render_shard_skew(rows: &[ShardSkewRow]) -> String {
-    let mut out =
-        String::from("Reactors  Shard  Requests  Queue p50/p99  Latency p50/p99 (virtual)\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>5}  {:>8}  {:>6}/{:<6}  {:>7}/{:<7}\n",
-            r.reactors, r.shard, r.requests, r.queue_p50, r.queue_p99, r.latency_p50, r.latency_p99,
-        ));
-    }
-    out
-}
-
-/// One row of the journaling-overhead comparison (`report_serve --json`'s `journal_rows`,
-/// recorded as `BENCH_pr9.json`): the same seeded population served by a cold deployment with
-/// the durability journal off vs attached under each flush policy. Synthesis commits are what
-/// get journaled, so every run starts cold (fresh deployment, fresh journal file). The PR 9
-/// overhead budget is `overhead_pct <= 5` for the `on-tick` policy.
-#[derive(Debug, Clone)]
-pub struct JournalRow {
-    /// `"off"`, or the flush policy (`"every-entry"`, `"every-8"`, `"on-tick"`).
-    pub policy: String,
-    /// Protocol requests scheduled across all connections.
-    pub requests: usize,
-    /// Best-of-N wall-clock of the pool run.
-    pub seconds: f64,
-    /// Throughput of the best run.
-    pub rps: f64,
-    /// `(off_rps - rps) / off_rps * 100` — positive means journaling cost throughput.
-    pub overhead_pct: f64,
-    /// Journal records appended during the best run (0 for the `off` row).
-    pub appended: u64,
-}
-
-/// Measures journaling overhead with the `SimNet` load generator: the same seeded population
-/// runs against a cold deployment with no journal, then with a journal under each flush
-/// policy (best wall-clock of `iterations` runs each, interleaved so clock drift biases every
-/// policy equally). Every run synthesizes the palette from scratch — commits are the traffic
-/// that reaches the journal.
-pub fn journal_rows(
-    tenants: usize,
-    population_seed: u64,
-    net_seed: u64,
-    iterations: usize,
-) -> Vec<JournalRow> {
-    use anosy::serve::loadgen::{self, LoadOptions};
-    use anosy::serve::{popsim, FlushPolicy, JournalConfig, ServeConfig};
-
-    let population = loadgen::population(population_seed, tenants);
-    let policies: [(&str, Option<FlushPolicy>); 4] = [
-        ("off", None),
-        ("every-entry", Some(FlushPolicy::EveryEntry)),
-        ("every-8", Some(FlushPolicy::EveryN(8))),
-        ("on-tick", Some(FlushPolicy::OnTick)),
-    ];
-    let dir = std::env::temp_dir();
-    let mut best: Vec<Option<(Duration, usize, f64, u64)>> = vec![None; policies.len()];
-    for _ in 0..iterations.max(1) {
-        for (slot, (label, policy)) in best.iter_mut().zip(&policies) {
-            let mut config = ServeConfig::for_tests();
-            if let Some(flush) = policy {
-                let path = dir.join(format!("anosy-bench-journal-{label}.journal"));
-                let journal = JournalConfig::new(&path).with_flush(*flush);
-                // A fresh journal every run: leftover records would replay into a warm
-                // cache and starve the run of synthesis commits to journal.
-                let _ = std::fs::remove_file(&path);
-                let _ = std::fs::remove_file(journal.snapshot_path());
-                config = config.with_journal(journal);
-            }
-            let deployment = popsim::cold_deployment(&population, &config);
-            deployment.open_journal(false).expect("journal opens on a fresh file");
-            let options = LoadOptions::new(net_seed, 2).telemetry(false);
-            let run = loadgen::run_on(&population, &options, &deployment);
-            let appended = deployment.journal_stats().appended;
-            if slot.as_ref().is_none_or(|b| run.report.elapsed < b.0) {
-                *slot = Some((
-                    run.report.elapsed,
-                    run.report.requests,
-                    run.report.requests_per_sec,
-                    appended,
-                ));
-            }
-        }
-    }
-    let off_rps = best[0].as_ref().expect("at least one iteration ran").2;
-    policies
-        .iter()
-        .zip(&best)
-        .map(|((label, _), slot)| {
-            let (elapsed, requests, rps, appended) = slot.expect("at least one iteration ran");
-            JournalRow {
-                policy: label.to_string(),
-                requests,
-                seconds: elapsed.as_secs_f64(),
-                rps,
-                overhead_pct: (off_rps - rps) / off_rps.max(1e-9) * 100.0,
-                appended,
-            }
-        })
-        .collect()
-}
-
-/// Renders journal overhead rows as an aligned text table.
-pub fn render_journal(rows: &[JournalRow]) -> String {
-    let mut out = String::from("Policy       Requests  Seconds      req/s  Overhead  Appended\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<11}  {:>8}  {:>7.4}  {:>9.1}  {:>7.2}%  {:>8}\n",
-            r.policy, r.requests, r.seconds, r.rps, r.overhead_pct, r.appended,
-        ));
-    }
-    out
-}
-
-/// One row of the restart-latency comparison (`report_serve --json`'s `restart_rows`,
-/// recorded as `BENCH_pr9.json`): how long a warm start (snapshot load + journal replay of
-/// `entries` cached entries, split roughly half/half) takes vs constructing the same
-/// deployment cold with nothing to recover.
-#[derive(Debug, Clone)]
-pub struct RestartRow {
-    /// Cached entries recovered by the warm start (snapshot + journal together).
-    pub entries: usize,
-    /// Entries that came from the compacted snapshot.
-    pub snapshot_entries: usize,
-    /// Entries replayed from the journal tail.
-    pub journaled_entries: usize,
-    /// Best-of-N construction time of a bare deployment (no journal, nothing to load).
-    pub cold_seconds: f64,
-    /// Best-of-N time of `Deployment::new` + `open_journal` over the populated files.
-    pub warm_seconds: f64,
-}
-
-/// Measures restart-to-warm latency at each cache size in `sizes`: a snapshot file holding
-/// half the entries and a journal holding the rest are staged once per size, then the
-/// recovery path (`Deployment::new` + [`anosy::serve::Deployment::open_journal`]) is timed
-/// against a bare cold construction (best of `iterations` each). Entries are synthetic
-/// single-box caches — the cost scales with entry count and codec work, not solver work.
-pub fn restart_rows(sizes: &[usize], iterations: usize) -> Vec<RestartRow> {
-    use anosy::core::SharedCacheEntry;
-    use anosy::serve::{save_entries, Journal, JournalConfig, ServeConfig};
-
-    let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
-    let entry = |k: i64| SharedCacheEntry::<IntervalDomain> {
-        pred: ((IntExpr::var(0) - k).abs() + IntExpr::var(1)).le(100),
-        layout: layout.clone(),
-        kind: ApproxKind::Under,
-        members: None,
-        indsets: IndSets::new(
-            ApproxKind::Under,
-            IntervalDomain::from_intervals(vec![AInt::new(0, 100), AInt::new(0, 100)]),
-            IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(101, 400)]),
-        ),
-    };
-    let mut rows = Vec::new();
-    for &size in sizes {
-        let path = std::env::temp_dir().join(format!("anosy-bench-restart-{size}.journal"));
-        let journal_config = JournalConfig::new(&path);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_config.snapshot_path());
-        // Stage the recovery inputs once: the first half as a compacted snapshot, the rest
-        // as journal-tail records (distinct predicates, so nothing dedups away).
-        let snapshot_entries = size / 2;
-        let staged: Vec<_> = (0..size).map(|k| entry(k as i64)).collect();
-        save_entries(&journal_config.snapshot_path(), &staged[..snapshot_entries])
-            .expect("snapshot stages");
-        let recovered = Journal::<IntervalDomain>::recover(journal_config.clone())
-            .expect("journal opens on a fresh file");
-        for e in &staged[snapshot_entries..] {
-            recovered.journal.append(e).expect("journal append stages");
-        }
-        drop(recovered);
-
-        let config = ServeConfig::for_tests();
-        let journaled = config.clone().with_journal(journal_config);
-        let mut cold_seconds = f64::INFINITY;
-        let mut warm_seconds = f64::INFINITY;
-        let mut journaled_entries = 0;
-        for _ in 0..iterations.max(1) {
-            let start = Instant::now();
-            let cold: Deployment<IntervalDomain> = Deployment::new(layout.clone(), config.clone());
-            cold_seconds = cold_seconds.min(start.elapsed().as_secs_f64());
-            assert_eq!(cold.stats().entries, 0);
-
-            let start = Instant::now();
-            let warm: Deployment<IntervalDomain> =
-                Deployment::new(layout.clone(), journaled.clone());
-            let recovery =
-                warm.open_journal(false).expect("recovery succeeds").expect("journal configured");
-            warm_seconds = warm_seconds.min(start.elapsed().as_secs_f64());
-            assert_eq!(recovery.snapshot.installed + recovery.replayed, size);
-            journaled_entries = recovery.replayed;
-        }
-        rows.push(RestartRow {
-            entries: size,
-            snapshot_entries,
-            journaled_entries,
-            cold_seconds,
-            warm_seconds,
-        });
-    }
-    rows
-}
-
-/// Renders restart-latency rows as an aligned text table.
-pub fn render_restart(rows: &[RestartRow]) -> String {
-    let mut out =
-        String::from(" Entries  Snapshot  Journaled  Cold start  Warm start (snapshot+replay)\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>8}  {:>9}  {:>9.6}s  {:>9.6}s\n",
-            r.entries, r.snapshot_entries, r.journaled_entries, r.cold_seconds, r.warm_seconds,
-        ));
-    }
-    out
-}
-
-/// Renders serve rows (plus the frontend tick-throughput rows, the multi-reactor transport
-/// rows, the telemetry overhead and per-shard skew rows, the journaling-overhead and
-/// restart-latency rows, the deployment-level aggregate block and a free-text analysis of the
-/// measurement conditions) as the `BENCH_pr3.json` / `BENCH_pr4.json` / `BENCH_pr7.json` /
-/// `BENCH_pr8.json` / `BENCH_pr9.json` document. Every parallel row carries `capped_by_host`
-/// (see [`capped_by_host`]).
-#[allow(clippy::too_many_arguments)] // one parameter per report section, called from one place
-pub fn serve_rows_to_json(
-    rows: &[ServeRow],
-    frontend: &[FrontendRow],
-    transport: &[TransportRow],
-    telemetry: &[TelemetryRow],
-    shard_skew: &[ShardSkewRow],
-    journal: &[JournalRow],
-    restart: &[RestartRow],
-    deployment_stats_json: &str,
-    analysis: &str,
-) -> String {
-    let mut out = String::from("{\n  \"figure\": \"serve_throughput\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    out.push_str(&format!("  \"analysis\": \"{}\",\n", json_escape(analysis)));
-    out.push_str(&format!("  \"deployment\": {deployment_stats_json},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"id\": \"{}\", \"domain\": \"{}\", \"secrets\": {}, \"workers\": {}, ",
-                "\"capped_by_host\": {}, ",
-                "\"seq_downgrade_seconds\": {:.6}, \"batch_downgrade_seconds\": {:.6}, ",
-                "\"downgrade_speedup\": {:.3}, ",
-                "\"seq_count_seconds\": {:.6}, \"par_count_seconds\": {:.6}, ",
-                "\"count_speedup\": {:.3}, \"models\": {}}}{}\n"
-            ),
-            r.id,
-            r.domain,
-            r.secrets,
-            r.workers,
-            capped_by_host(r.workers),
-            r.seq_downgrade_seconds,
-            r.batch_downgrade_seconds,
-            r.downgrade_speedup,
-            r.seq_count_seconds,
-            r.par_count_seconds,
-            r.count_speedup,
-            r.models,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"frontend_rows\": [\n");
-    for (i, r) in frontend.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"batch_size\": {}, \"requests\": {}, \"workers\": {}, ",
-                "\"capped_by_host\": {}, ",
-                "\"frontend_seconds\": {:.6}, \"frontend_rps\": {:.1}, ",
-                "\"wire_seconds\": {:.6}, \"wire_rps\": {:.1}, ",
-                "\"bulk_seconds\": {:.6}, \"bulk_rps\": {:.1}, ",
-                "\"direct_seconds\": {:.6}, \"direct_rps\": {:.1}}}{}\n"
-            ),
-            r.batch_size,
-            r.requests,
-            r.workers,
-            capped_by_host(r.workers),
-            r.frontend_seconds,
-            r.frontend_rps,
-            r.wire_seconds,
-            r.wire_rps,
-            r.bulk_seconds,
-            r.bulk_rps,
-            r.direct_seconds,
-            r.direct_rps,
-            if i + 1 == frontend.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"transport_rows\": [\n");
-    for (i, r) in transport.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"reactors\": {}, \"connections\": {}, \"requests\": {}, ",
-                "\"seconds\": {:.6}, \"requests_per_sec\": {:.1}, ",
-                "\"speedup_vs_one\": {:.3}, \"capped_by_host\": {}}}{}\n"
-            ),
-            r.reactors,
-            r.connections,
-            r.requests,
-            r.seconds,
-            r.requests_per_sec,
-            r.speedup_vs_one,
-            r.capped_by_host,
-            if i + 1 == transport.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"telemetry_rows\": [\n");
-    for (i, r) in telemetry.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"reactors\": {}, \"requests\": {}, ",
-                "\"off_seconds\": {:.6}, \"on_seconds\": {:.6}, ",
-                "\"off_rps\": {:.1}, \"on_rps\": {:.1}, \"overhead_pct\": {:.2}, ",
-                "\"latency_p50\": {}, \"latency_p99\": {}, \"latency_max\": {}}}{}\n"
-            ),
-            r.reactors,
-            r.requests,
-            r.off_seconds,
-            r.on_seconds,
-            r.off_rps,
-            r.on_rps,
-            r.overhead_pct,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_max,
-            if i + 1 == telemetry.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"shard_skew\": [\n");
-    for (i, r) in shard_skew.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"reactors\": {}, \"shard\": {}, \"requests\": {}, ",
-                "\"queue_p50\": {}, \"queue_p99\": {}, ",
-                "\"latency_p50\": {}, \"latency_p99\": {}}}{}\n"
-            ),
-            r.reactors,
-            r.shard,
-            r.requests,
-            r.queue_p50,
-            r.queue_p99,
-            r.latency_p50,
-            r.latency_p99,
-            if i + 1 == shard_skew.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"journal_rows\": [\n");
-    for (i, r) in journal.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"policy\": \"{}\", \"requests\": {}, \"seconds\": {:.6}, ",
-                "\"rps\": {:.1}, \"overhead_pct\": {:.2}, \"appended\": {}}}{}\n"
-            ),
-            json_escape(&r.policy),
-            r.requests,
-            r.seconds,
-            r.rps,
-            r.overhead_pct,
-            r.appended,
-            if i + 1 == journal.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"restart_rows\": [\n");
-    for (i, r) in restart.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"entries\": {}, \"snapshot_entries\": {}, \"journaled_entries\": {}, ",
-                "\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}}}{}\n"
-            ),
-            r.entries,
-            r.snapshot_entries,
-            r.journaled_entries,
-            r.cold_seconds,
-            r.warm_seconds,
-            if i + 1 == restart.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Precision comparison against the abstract-interpretation baseline for every benchmark.
@@ -1405,200 +311,6 @@ pub fn render_fig6(outcomes: &[anosy::suite::AdvertisingOutcome], num_queries: u
 /// regressions in the facade's re-exports).
 pub fn sanity_check_domains(layout: &SecretLayout) -> (u128, u128) {
     (IntervalDomain::top(layout).size(), PowersetDomain::top(layout).size())
-}
-
-/// One macro-benchmark row: a full simulated tenant population (`anosy_suite::population`)
-/// compiled onto a `SimNet` schedule and driven end-to-end through the wire protocol against a
-/// **cold** deployment — synthesis misses are part of the measured workload, so the cache hit
-/// rate reflects the popularity skew instead of a pre-warmed palette.
-#[derive(Debug, Clone)]
-pub struct PopulationRow {
-    /// Popularity skew of the run (`uniform` / `zipf` / `sharp`).
-    pub label: String,
-    /// Simulated tenants (one connection + one session each).
-    pub tenants: usize,
-    /// Ranked palette queries the population draws from (plus the adversarial probe ladder).
-    pub palette: usize,
-    /// Distinct queries any tenant actually used — under skew, far fewer than the palette.
-    pub distinct_queries: usize,
-    /// Protocol requests scheduled (opens, registers, downgrades, knowledge probes, closes).
-    pub requests: usize,
-    /// Worker threads in the deployment pool.
-    pub workers: usize,
-    /// Wall-clock of the whole replay, including cold synthesis.
-    pub seconds: f64,
-    /// End-to-end requests per second through the event loop.
-    pub requests_per_second: f64,
-    /// Frontend ticks the reactor ran.
-    pub ticks: u64,
-    /// Registration lookups answered from the shared synthesis cache (session opens share
-    /// the frontend's query table and never look the cache up).
-    pub synth_hits: u64,
-    /// Registrations that ran the full synthesize-and-verify pipeline.
-    pub synth_misses: u64,
-    /// `synth_hits / (synth_hits + synth_misses)` over every cache lookup.
-    pub synth_hit_rate: f64,
-    /// `RegisterQuery` requests the population scheduled.
-    pub register_requests: usize,
-    /// `1 - synth_misses / register_requests` — the skew signal proper: each register request
-    /// triggers exactly one cache lookup and each miss synthesizes one distinct query, so a
-    /// Zipf head (fewer distinct queries across the same register stream) converges the cold
-    /// cache after fewer misses.
-    pub register_hit_rate: f64,
-    /// Denials across all responses (refused downgrades + rejected requests).
-    pub denials: u64,
-    /// `denials / requests`.
-    pub denial_rate: f64,
-    /// Sessions still open at drain — the population's lingering tenants, exactly.
-    pub open_at_drain: usize,
-}
-
-/// Drives one population per skew through the full serving stack and measures it.
-///
-/// Generation determinism is asserted before anything is timed (the same config must
-/// fingerprint-identically twice — a row from an unreproducible workload is worthless); the
-/// element-wise oracle equivalence of the very same compile-and-replay path is covered by
-/// `anosy-serve`'s `population_sim.rs` / `population_scale.rs` tiers.
-pub fn population_rows(
-    seed: u64,
-    tenants: usize,
-    palette: usize,
-    workers: usize,
-    synth_config: &SynthConfig,
-) -> Vec<PopulationRow> {
-    use anosy::serve::popsim::{self, CompileOptions};
-    use anosy::serve::{Frontend, ServeConfig, Server, ServerConfig};
-    use anosy::suite::population::{Population, PopulationConfig, Skew, TenantAction};
-
-    [(Skew::Uniform, "uniform"), (Skew::Zipf, "zipf"), (Skew::Sharp, "sharp")]
-        .into_iter()
-        .map(|(skew, label)| {
-            let config = PopulationConfig::paper(seed)
-                .with_tenants(tenants)
-                .with_palette(palette)
-                .with_skew(skew)
-                .with_waves(tenants.div_ceil(50).max(1));
-            let population = Population::generate(&config);
-            assert_eq!(
-                population.fingerprint(),
-                Population::generate(&config).fingerprint(),
-                "population generation must be deterministic before it is worth timing"
-            );
-
-            let options = CompileOptions::new(seed ^ 0xbe7c)
-                .with_max_chunk(64)
-                .with_max_delay(2)
-                .with_ticks_per_window(4);
-            let compiled = popsim::compile(&population, &options);
-            let serve_config =
-                ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
-            let deployment = popsim::cold_deployment(&population, &serve_config);
-            let mut server = Server::new(
-                Frontend::new(deployment),
-                compiled.net,
-                ServerConfig::new().ticked(true),
-            );
-            let started = Instant::now();
-            server.run();
-            let elapsed = started.elapsed();
-
-            let frontend = server.frontend().stats();
-            assert_eq!(frontend.tenants, population.tenants.len() as u64);
-            let cache = server.frontend().deployment().stats().cache;
-            let (_, _, lingering) = population.exit_profile();
-            assert_eq!(server.frontend().open_sessions(), lingering, "session leak at drain");
-            let register_requests = population
-                .tenants
-                .iter()
-                .flat_map(|t| t.bursts.iter().flatten())
-                .filter(|a| matches!(a, TenantAction::Register { .. }))
-                .count();
-
-            PopulationRow {
-                label: label.to_string(),
-                tenants: population.tenants.len(),
-                palette,
-                distinct_queries: population.distinct_queries_used(),
-                requests: compiled.requests,
-                workers,
-                seconds: elapsed.as_secs_f64(),
-                requests_per_second: compiled.requests as f64 / elapsed.as_secs_f64().max(1e-12),
-                ticks: frontend.ticks,
-                synth_hits: cache.synth_hits,
-                synth_misses: cache.synth_misses,
-                synth_hit_rate: cache.hit_ratio(),
-                register_requests,
-                register_hit_rate: 1.0
-                    - cache.synth_misses as f64 / register_requests.max(1) as f64,
-                denials: frontend.denials,
-                denial_rate: frontend.denials as f64 / compiled.requests.max(1) as f64,
-                open_at_drain: lingering,
-            }
-        })
-        .collect()
-}
-
-/// Renders population rows as aligned text.
-pub fn render_population(rows: &[PopulationRow]) -> String {
-    let mut out = String::from(
-        "Skew     Tenants  Palette  Used  Requests  Seconds    req/s     Reg hit   Denials  Open\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<8} {:>7}  {:>7}  {:>4}  {:>8}  {:>8.3}  {:>9.0}  {:>7.1}%  {:>7}  {:>4}\n",
-            r.label,
-            r.tenants,
-            r.palette,
-            r.distinct_queries,
-            r.requests,
-            r.seconds,
-            r.requests_per_second,
-            r.register_hit_rate * 100.0,
-            r.denials,
-            r.open_at_drain,
-        ));
-    }
-    out
-}
-
-/// Renders population rows as the `BENCH_pr6.json` document.
-pub fn population_rows_to_json(rows: &[PopulationRow], analysis: &str) -> String {
-    let mut out = String::from("{\n  \"figure\": \"population_macro\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    out.push_str(&format!("  \"analysis\": \"{}\",\n", json_escape(analysis)));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"skew\": \"{}\", \"tenants\": {}, \"palette\": {}, ",
-                "\"distinct_queries\": {}, \"requests\": {}, \"workers\": {}, ",
-                "\"seconds\": {:.6}, \"requests_per_second\": {:.1}, \"ticks\": {}, ",
-                "\"synth_hits\": {}, \"synth_misses\": {}, \"synth_hit_rate\": {:.4}, ",
-                "\"register_requests\": {}, \"register_hit_rate\": {:.4}, ",
-                "\"denials\": {}, \"denial_rate\": {:.4}, \"open_at_drain\": {}}}{}\n"
-            ),
-            json_escape(&r.label),
-            r.tenants,
-            r.palette,
-            r.distinct_queries,
-            r.requests,
-            r.workers,
-            r.seconds,
-            r.requests_per_second,
-            r.ticks,
-            r.synth_hits,
-            r.synth_misses,
-            r.synth_hit_rate,
-            r.register_requests,
-            r.register_hit_rate,
-            r.denials,
-            r.denial_rate,
-            r.open_at_drain,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -1696,213 +408,5 @@ mod tests {
     fn domain_sanity_check() {
         let layout = SecretLayout::builder().field("x", 0, 9).build();
         assert_eq!(sanity_check_domains(&layout), (10, 10));
-    }
-
-    #[test]
-    fn deterministic_secrets_are_reproducible_and_in_layout() {
-        let layout = SecretLayout::builder().field("x", 0, 400).field("y", -3, 7).build();
-        let a = deterministic_secrets(&layout, 100, 7);
-        let b = deterministic_secrets(&layout, 100, 7);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|p| layout.admits(p)));
-        assert_ne!(a, deterministic_secrets(&layout, 100, 8));
-    }
-
-    #[test]
-    fn serve_rows_internal_equivalence_checks_pass_on_a_small_run() {
-        // serve_rows asserts batch == loop and sharded count == sequential count internally;
-        // running it at a reduced size is the smoke test (the full size is report_serve's job).
-        let rows = serve_rows::<IntervalDomain>(2, 400, &quick_synth_config(), None);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(r.models > 0, "{}", r.id);
-            assert_eq!(r.secrets, 400);
-            assert_eq!(r.workers, 2);
-        }
-        let text = render_serve(&rows);
-        assert!(text.contains("B1") && text.contains("Speedup"));
-        let frontend = frontend_rows(2, 200, &quick_synth_config(), &[1, 50]);
-        assert_eq!(frontend.len(), 2);
-        for f in &frontend {
-            assert_eq!(f.requests, 200);
-            assert!(f.frontend_rps > 0.0 && f.wire_rps > 0.0 && f.bulk_rps > 0.0);
-            assert!(f.direct_rps > 0.0);
-        }
-        assert!(render_frontend(&frontend).contains("req/s"));
-        let transport = vec![
-            TransportRow {
-                reactors: 1,
-                connections: 16,
-                requests: 200,
-                seconds: 0.05,
-                requests_per_sec: 4000.0,
-                speedup_vs_one: 1.0,
-                capped_by_host: capped_by_host(1),
-            },
-            TransportRow {
-                reactors: 4,
-                connections: 16,
-                requests: 200,
-                seconds: 0.04,
-                requests_per_sec: 5000.0,
-                speedup_vs_one: 1.25,
-                capped_by_host: capped_by_host(4),
-            },
-        ];
-        assert!(render_transport(&transport).contains("vs 1 reactor"));
-        let telemetry = vec![TelemetryRow {
-            reactors: 2,
-            requests: 200,
-            off_seconds: 0.05,
-            on_seconds: 0.051,
-            off_rps: 4000.0,
-            on_rps: 3920.0,
-            overhead_pct: 2.0,
-            latency_p50: 7,
-            latency_p99: 63,
-            latency_max: 90,
-        }];
-        assert!(render_telemetry(&telemetry).contains("Overhead"));
-        let shard_skew = vec![
-            ShardSkewRow {
-                reactors: 2,
-                shard: 0,
-                requests: 120,
-                queue_p50: 1,
-                queue_p99: 7,
-                latency_p50: 7,
-                latency_p99: 63,
-            },
-            ShardSkewRow {
-                reactors: 2,
-                shard: 1,
-                requests: 80,
-                queue_p50: 1,
-                queue_p99: 3,
-                latency_p50: 7,
-                latency_p99: 31,
-            },
-        ];
-        assert!(render_shard_skew(&shard_skew).contains("Shard"));
-        let journal = vec![
-            JournalRow {
-                policy: "off".into(),
-                requests: 200,
-                seconds: 0.05,
-                rps: 4000.0,
-                overhead_pct: 0.0,
-                appended: 0,
-            },
-            JournalRow {
-                policy: "on-tick".into(),
-                requests: 200,
-                seconds: 0.051,
-                rps: 3920.0,
-                overhead_pct: 2.0,
-                appended: 17,
-            },
-        ];
-        assert!(render_journal(&journal).contains("Overhead"));
-        let restart = vec![RestartRow {
-            entries: 1000,
-            snapshot_entries: 500,
-            journaled_entries: 500,
-            cold_seconds: 0.0001,
-            warm_seconds: 0.02,
-        }];
-        assert!(render_restart(&restart).contains("Warm start"));
-        let json = serve_rows_to_json(
-            &rows,
-            &frontend,
-            &transport,
-            &telemetry,
-            &shard_skew,
-            &journal,
-            &restart,
-            "{\"workers\": 2}",
-            "single-core \"host\"\nwith C:\\cores",
-        );
-        assert_eq!(json.matches("{\"id\"").count(), 5);
-        assert_eq!(json.matches("{\"batch_size\"").count(), 2);
-        assert_eq!(json.matches("{\"reactors\"").count(), 2 + telemetry.len() + shard_skew.len());
-        assert_eq!(json.matches("{\"policy\"").count(), journal.len());
-        assert_eq!(json.matches("{\"entries\"").count(), restart.len());
-        assert_eq!(json.matches("\"overhead_pct\"").count(), 1 + journal.len());
-        assert_eq!(json.matches("\"queue_p99\"").count(), 2);
-        assert!(json.contains("\"figure\": \"serve_throughput\""));
-        assert!(json.contains("\"domain\": \"interval\""));
-        assert!(
-            json.contains("single-core \\\"host\\\"\\nwith C:\\\\cores"),
-            "quotes, newlines and backslashes are escaped"
-        );
-        assert!(json.contains("\"host_parallelism\": "));
-        // Every parallel row carries the machine-readable host-cap flag.
-        assert_eq!(
-            json.matches("\"capped_by_host\": ").count(),
-            rows.len() + frontend.len() + transport.len()
-        );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  ]"), "no trailing comma before an array close");
-    }
-
-    #[test]
-    fn telemetry_rows_measure_overhead_and_per_shard_skew() {
-        let (rows, skew) = telemetry_rows(12, 41, 43, &[1, 2], 1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(skew.len(), 3, "one skew row per shard: 1 + 2");
-        for r in &rows {
-            assert!(r.off_rps > 0.0 && r.on_rps > 0.0);
-            assert!(r.latency_p50 <= r.latency_p99 && r.latency_p99 <= r.latency_max);
-            assert!(r.latency_max > 0, "virtual request latencies were measured");
-        }
-        // The hashed shards together parse exactly the single-reactor request count.
-        let single = skew.iter().find(|s| s.reactors == 1).expect("the reactors=1 row").requests;
-        let sharded: u64 = skew.iter().filter(|s| s.reactors == 2).map(|s| s.requests).sum();
-        assert_eq!(sharded, single, "sharding redistributes requests, never loses them");
-    }
-
-    #[test]
-    fn journal_rows_measure_every_policy_against_the_same_cold_load() {
-        let rows = journal_rows(8, 41, 43, 1);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].policy, "off");
-        assert_eq!(rows[0].appended, 0, "the off row runs without a journal");
-        assert_eq!(rows[0].overhead_pct, 0.0, "overhead is measured against the off row");
-        for r in &rows {
-            assert!(r.rps > 0.0, "{}", r.policy);
-            assert_eq!(r.requests, rows[0].requests, "same schedule under every policy");
-        }
-        for r in &rows[1..] {
-            assert!(r.appended > 0, "{}: a cold run journals its synthesis commits", r.policy);
-        }
-    }
-
-    #[test]
-    fn restart_rows_recover_every_staged_entry() {
-        let rows = restart_rows(&[50, 200], 2);
-        assert_eq!(rows.len(), 2);
-        for (r, size) in rows.iter().zip([50usize, 200]) {
-            assert_eq!(r.entries, size);
-            assert_eq!(r.snapshot_entries, size / 2);
-            assert_eq!(r.journaled_entries, size - size / 2);
-            assert!(r.cold_seconds >= 0.0 && r.warm_seconds > 0.0);
-        }
-        assert!(render_restart(&rows).contains("Snapshot"));
-    }
-
-    #[test]
-    fn transport_rows_gate_on_equivalence_and_scale_with_the_request_count() {
-        let rows = transport_rows(12, 41, 43, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].reactors, 1);
-        assert!(!rows[0].capped_by_host, "one reactor is never capped");
-        assert_eq!(rows[1].reactors, 2);
-        assert_eq!(rows[0].requests, rows[1].requests, "same schedule at every reactor count");
-        assert_eq!(rows[0].connections, 12);
-        for r in &rows {
-            assert!(r.requests_per_sec > 0.0);
-            assert!(r.speedup_vs_one > 0.0);
-            assert_eq!(r.capped_by_host, host_parallelism() < r.reactors as usize);
-        }
     }
 }
