@@ -17,7 +17,7 @@
 //!   authorize/refuse outcomes into one deployment-wide observability block.
 //!
 //! Sessions join a shared cache via [`crate::AnosySession::with_shared`]; the `anosy-serve`
-//! crate wraps this type into a full deployment (worker pool, batched downgrades, warm-start
+//! crate wraps this type into a full deployment (worker pool, batched downgrades, journaled
 //! persistence).
 
 use crate::AnosyError;
@@ -90,37 +90,8 @@ pub struct SharedCacheStats {
     /// connection). `sessions_opened - sessions_closed` is the number currently live, so a
     /// serving transport that leaks sessions on connection drop shows up here.
     pub sessions_closed: u64,
-    /// Entries loaded from a warm-start snapshot rather than synthesized.
+    /// Entries installed at warm restart (journal snapshot or replay) rather than synthesized.
     pub warm_loaded: u64,
-}
-
-impl SharedCacheStats {
-    /// Fraction of registrations served from the cache, in `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.synth_hits + self.synth_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.synth_hits as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for SharedCacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} sessions ({} closed): {} synth hits / {} misses ({} warm-loaded), \
-             {} downgrades authorized, {} refused",
-            self.sessions_opened,
-            self.sessions_closed,
-            self.synth_hits,
-            self.synth_misses,
-            self.warm_loaded,
-            self.downgrades_authorized,
-            self.downgrades_refused
-        )
-    }
 }
 
 /// A hook invoked with every entry the single-flight path commits (see
@@ -397,7 +368,7 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     }
 
     /// Inserts an already-synthesized (and, by contract, already-verified) entry, e.g. from a
-    /// warm-start snapshot. Returns `false` when an entry for the same key already exists (the
+    /// journal snapshot. Returns `false` when an entry for the same key already exists (the
     /// existing entry wins — a freshly synthesized result is never clobbered by a stale disk
     /// cache).
     pub fn insert_ready(&self, entry: SharedCacheEntry<D>) -> bool {
@@ -493,7 +464,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.synth_misses, 1);
         assert_eq!(stats.synth_hits, 7);
-        assert!((stats.hit_ratio() - 7.0 / 8.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
     }
 

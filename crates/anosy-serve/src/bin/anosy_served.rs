@@ -16,14 +16,12 @@
 //! * `--layout "<name:lo:hi> ..."` — the secret space served (required);
 //! * `--domain interval|powerset` — the knowledge domain (default `interval`);
 //! * `--workers N` — shard-pool width (default: available parallelism);
-//! * `--warm-start PATH` — load a synthesis cache before serving;
-//! * `--verify-on-load` — with `--warm-start` or `--journal`: re-verify every loaded entry
-//!   with the solver ([`anosy_serve::Deployment::warm_start_verified`]);
-//! * `--save-on-exit PATH` — persist the synthesis cache after the last request;
-//! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
-//!   `PATH.snapshot` + `PATH` (journal replay, torn-tail tolerant, composing with
-//!   `--verify-on-load`), then append every newly synthesized entry to `PATH` as it commits.
-//!   Recovery reports as a `# journal recovered replayed=N torn=N` line;
+//! * `--journal PATH` — the synthesis cache's one durability path ([`anosy_serve::journal`]):
+//!   warm-restart from `PATH.snapshot` + `PATH` (journal replay, torn-tail tolerant), then
+//!   append every newly synthesized entry to `PATH` as it commits. Recovery reports as a
+//!   `# journal recovered replayed=N torn=N snapshot_loaded=N skipped=N` line;
+//! * `--verify-on-load` — with `--journal`: re-verify every recovered entry with the solver
+//!   before installing it, skipping (and counting) the ones that fail;
 //! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — with `--journal`: when
 //!   journal appends reach the OS (default `every-entry`); `every-entry-fsync` additionally
 //!   `fsync`s every append to the device, the strongest rung;
@@ -60,8 +58,8 @@
 //! accept order). Malformed lines answer with an unnumbered `! <reason>` line (they never reach
 //! the frontend, so they consume no sequence number). Per-connection I/O errors close *that
 //! connection* — its sessions are released and the denial is logged to stderr; the process keeps
-//! serving. Start-up actions (warm start, final save) report as `# ...` comment lines, keeping
-//! transcripts diffable.
+//! serving. Start-up actions (journal recovery, the listening address) report as `# ...` comment
+//! lines, keeping transcripts diffable.
 
 use anosy_core::SynthesizeInto;
 use anosy_domains::{IntervalDomain, PowersetDomain};
@@ -78,9 +76,7 @@ struct Options {
     layout: SecretLayout,
     domain: String,
     config: ServeConfig,
-    warm_start: Option<std::path::PathBuf>,
     verify_on_load: bool,
-    save_on_exit: Option<std::path::PathBuf>,
     ticked: bool,
     listen: Option<String>,
     accept: Option<usize>,
@@ -92,8 +88,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
-         [--workers N] [--warm-start PATH [--verify-on-load]] \
-         [--save-on-exit PATH] [--journal PATH \
+         [--workers N] [--journal PATH [--verify-on-load] \
          [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
          [--compact-every N]] [--ticked] [--trace PATH] \
          [--listen ADDR [--accept N] [--tick-ms MS] [--reactors N]]"
@@ -106,9 +101,7 @@ fn parse_options() -> Options {
     let mut layout = None;
     let mut domain = "interval".to_string();
     let mut config = ServeConfig::new();
-    let mut warm_start = None;
     let mut verify_on_load = false;
-    let mut save_on_exit = None;
     let mut journal = None;
     let mut journal_flush = None;
     let mut compact_every = None;
@@ -139,9 +132,7 @@ fn parse_options() -> Options {
                 config = config.with_workers(workers);
             }
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut i))),
-            "--warm-start" => warm_start = Some(std::path::PathBuf::from(value(&mut i))),
             "--verify-on-load" => verify_on_load = true,
-            "--save-on-exit" => save_on_exit = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal-flush" => {
                 journal_flush = Some(FlushPolicy::parse(&value(&mut i)).unwrap_or_else(|| usage()));
@@ -170,9 +161,6 @@ fn parse_options() -> Options {
     if tick_ms.is_some() && !ticked {
         usage();
     }
-    if verify_on_load && warm_start.is_none() && journal.is_none() {
-        usage();
-    }
     match journal {
         Some(path) => {
             let mut journal = JournalConfig::new(path);
@@ -184,16 +172,14 @@ fn parse_options() -> Options {
             }
             config = config.with_journal(journal);
         }
-        None if compact_every.is_some() || journal_flush.is_some() => usage(),
+        None if compact_every.is_some() || journal_flush.is_some() || verify_on_load => usage(),
         None => {}
     }
     Options {
         layout,
         domain,
         config,
-        warm_start,
         verify_on_load,
-        save_on_exit,
         ticked,
         listen,
         accept,
@@ -228,8 +214,8 @@ where
             "# journal recovered replayed={} torn={} snapshot_loaded={} skipped={}",
             recovery.replayed,
             recovery.torn,
-            recovery.snapshot.installed,
-            recovery.snapshot.skipped + recovery.replay_skipped,
+            recovery.snapshot_loaded,
+            recovery.snapshot_skipped + recovery.replay_skipped,
         )
         .expect("stdout is writable"),
         Ok(None) => {}
@@ -237,18 +223,6 @@ where
             eprintln!("anosy-served: cannot open journal: {e}");
             std::process::exit(1);
         }
-    }
-
-    if let Some(path) = &options.warm_start {
-        match deployment.warm_start_with(path, options.verify_on_load) {
-            Ok(outcome) => writeln!(
-                out,
-                "# warm-start loaded={} skipped={}",
-                outcome.installed, outcome.skipped
-            ),
-            Err(e) => writeln!(out, "# warm-start failed: {e}"),
-        }
-        .expect("stdout is writable");
     }
 
     let server_config = ServerConfig::new().ticked(options.ticked);
@@ -290,7 +264,6 @@ where
             let reports: Vec<anosy_serve::Report> =
                 servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
             write_trace(&options, &reports);
-            save_on_exit(&deployment, &options);
         }
         Some(addr) => {
             let tick_interval = options.tick_ms.map(Duration::from_millis);
@@ -318,25 +291,6 @@ where
     }
 }
 
-/// Persists the synthesis cache when `--save-on-exit` asked for it.
-fn save_on_exit<D>(deployment: &Deployment<D>, options: &Options)
-where
-    D: DomainCodec + SynthesizeInto + Send + Sync + 'static,
-{
-    if let Some(path) = &options.save_on_exit {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        match deployment.save_cache(path) {
-            Ok(outcome) => {
-                writeln!(out, "# saved entries={} skipped={}", outcome.written, outcome.skipped)
-            }
-            Err(e) => writeln!(out, "# save failed: {e}"),
-        }
-        .expect("stdout is writable");
-        out.flush().expect("stdout is flushable");
-    }
-}
-
 /// Writes the run's spans as a chrome://tracing JSON array when `--trace` asked for it.
 fn write_trace(options: &Options, reports: &[anosy_serve::Report]) {
     let Some(path) = &options.trace else { return };
@@ -346,9 +300,8 @@ fn write_trace(options: &Options, reports: &[anosy_serve::Report]) {
     }
 }
 
-/// Runs the reactor to completion (per-connection denials reach stderr as they happen),
-/// writes the trace when asked, and persists the synthesis cache when `--save-on-exit`
-/// asked for it.
+/// Runs the reactor to completion (per-connection denials reach stderr as they happen) and
+/// writes the trace when asked.
 fn finish<D, T>(server: &mut Server<D, T>, options: &Options)
 where
     D: DomainCodec + SynthesizeInto + Send + Sync + 'static,
@@ -358,5 +311,4 @@ where
     let reports: Vec<anosy_serve::Report> =
         server.telemetry_report().cloned().into_iter().collect();
     write_trace(options, &reports);
-    save_on_exit(server.frontend().deployment(), options);
 }

@@ -1,7 +1,6 @@
 //! The deployment: one shared store + synthesis cache, one worker pool, many sessions.
 
 use crate::journal::{CompactOutcome, Journal, JournalStats};
-use crate::persist::SaveOutcome;
 use crate::{batch, parallel, persist, ServeConfig, ServeError, ShardPool, Sharded};
 use anosy_core::{
     AnosyError, AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache,
@@ -11,25 +10,17 @@ use anosy_domains::AbstractDomain;
 use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, QueryDef, Synthesizer};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// What a [`Deployment::warm_start_verified`] load accomplished.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStartOutcome {
-    /// Entries that re-verified and were installed into the synthesis cache.
-    pub installed: usize,
-    /// Entries that failed re-verification (or were malformed) and were refused.
-    pub skipped: usize,
-}
 
 /// What [`Deployment::open_journal`] recovered at warm restart (snapshot load + journal
 /// replay; see [`crate::journal`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryOutcome {
-    /// The compaction snapshot load (installed + verify-skipped entry counts).
-    pub snapshot: WarmStartOutcome,
+    /// Compaction-snapshot entries installed into the synthesis cache.
+    pub snapshot_loaded: usize,
+    /// Snapshot entries refused by `--verify-on-load` re-verification (or malformed).
+    pub snapshot_skipped: usize,
     /// Intact records replayed from the journal's good prefix.
     pub replayed: usize,
     /// Replayed records refused by `--verify-on-load` re-verification.
@@ -55,7 +46,7 @@ pub struct ServeStats {
 ///   sessions registering the same query set synthesize once per *deployment*;
 /// * owns the fixed [`ShardPool`] the batched-downgrade and parallel-solver drivers shard
 ///   across;
-/// * loads and saves the warm-start synthesis cache.
+/// * journals the synthesis cache and recovers it at restart ([`Deployment::open_journal`]).
 #[derive(Debug)]
 pub struct Deployment<D: AbstractDomain> {
     layout: SecretLayout,
@@ -66,7 +57,7 @@ pub struct Deployment<D: AbstractDomain> {
     /// Shared (like the cache and pool) so every [`Deployment::share`] handle — one per
     /// reactor shard — appends to, flushes and compacts the same journal.
     journal: Arc<OnceLock<Journal<D>>>,
-    /// Entries skipped as unencodable across every [`Deployment::save_cache`] of this
+    /// Entries skipped as unencodable across every [`Deployment::compact`] of this
     /// deployment (the `saves_skipped` token of the wire stats line).
     saves_skipped: Arc<AtomicU64>,
 }
@@ -142,7 +133,7 @@ impl<D: AbstractDomain> Deployment<D> {
         self.journal.get().map(Journal::stats).unwrap_or_default()
     }
 
-    /// Entries skipped as unencodable across every [`Deployment::save_cache`] so far.
+    /// Entries skipped as unencodable across every [`Deployment::compact`] so far.
     pub fn saves_skipped(&self) -> u64 {
         self.saves_skipped.load(Ordering::Relaxed)
     }
@@ -244,47 +235,34 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
 }
 
 impl<D: DomainCodec + 'static> Deployment<D> {
-    /// Loads a warm-start synthesis cache saved by [`Deployment::save_cache`]. A missing file is
-    /// a cold start (returns `Ok(0)`); a malformed file is an error the caller may choose to
-    /// treat as cold. Returns how many entries were actually installed (already-cached keys keep
-    /// their in-memory value).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable or malformed files.
-    pub fn warm_start(&self, path: &Path) -> Result<usize, ServeError> {
-        if !path.exists() {
-            return Ok(0);
-        }
-        let entries = persist::load_entries::<D>(path)?;
-        Ok(self.install_entries(entries, false)?.installed)
-    }
-
     /// Installs decoded entries into the shared cache — the one funnel under both the snapshot
-    /// loads and the journal replay, so `--verify-on-load` applies identically to either
-    /// provenance. With `verify` set, every entry's refinement obligations are re-checked with
-    /// the solver first (see [`Deployment::warm_start_verified`]); already-cached keys are
-    /// never re-installed (and, verified, never re-checked — the in-memory value wins).
+    /// load and the journal replay, so `--verify-on-load` applies identically to either
+    /// provenance — and returns the `(installed, skipped)` counts. With `verify` set, every
+    /// entry's refinement obligations are **re-checked with the solver** first (the same Fig. 4
+    /// specification a fresh synthesis would have to pass, under the deployment's solver
+    /// budget); entries that fail — or whose obligations cannot be decided within budget — are
+    /// skipped and counted, never installed. Already-cached keys are never re-installed (and,
+    /// verified, never re-checked — the in-memory value wins) and count toward neither total.
     fn install_entries(
         &self,
         entries: Vec<SharedCacheEntry<D>>,
         verify: bool,
-    ) -> Result<WarmStartOutcome, ServeError> {
-        let mut outcome = WarmStartOutcome::default();
+    ) -> Result<(usize, usize), ServeError> {
+        let (mut installed, mut skipped) = (0, 0);
         if !verify {
             for entry in entries {
                 if self.shared.insert_ready(entry) {
-                    outcome.installed += 1;
+                    installed += 1;
                 }
             }
-            return Ok(outcome);
+            return Ok((installed, skipped));
         }
         let mut verifier = anosy_verify::Verifier::with_config(self.config.solver().clone());
         for entry in entries {
             // The entry's provenance is untrusted, but its shape must still be a well-formed
             // query; a predicate outside the layout is a skip, not a crash.
             let Ok(query) = QueryDef::new("warm", entry.layout.clone(), entry.pred.clone()) else {
-                outcome.skipped += 1;
+                skipped += 1;
                 continue;
             };
             // An already-cached key would lose to the in-memory value either way, so don't pay
@@ -293,102 +271,43 @@ impl<D: DomainCodec + 'static> Deployment<D> {
                 continue;
             }
             if !verifier.verify_indsets(&query, &entry.indsets)?.is_verified() {
-                outcome.skipped += 1;
+                skipped += 1;
                 continue;
             }
             if self.shared.insert_ready(entry) {
-                outcome.installed += 1;
+                installed += 1;
             }
         }
-        Ok(outcome)
-    }
-
-    /// [`Deployment::warm_start`] for caches of dubious provenance: every loaded entry's
-    /// refinement obligations are **re-checked with the solver** (the same Fig. 4 specification
-    /// a fresh synthesis would have to pass, under the deployment's solver budget) before the
-    /// entry is installed. Entries that fail verification — or whose obligations cannot be
-    /// decided within budget — are skipped and counted, never installed; entries whose key is
-    /// already cached in memory are not re-installed (the in-memory value wins, as in the
-    /// unverified path) and count toward neither total. A missing file is a cold start.
-    ///
-    /// This is the `--verify-on-load` path of `anosy-served`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable or malformed files,
-    /// and [`ServeError::Solver`] if the solver itself fails (not merely exhausts its budget)
-    /// on an obligation.
-    pub fn warm_start_verified(&self, path: &Path) -> Result<WarmStartOutcome, ServeError> {
-        if !path.exists() {
-            return Ok(WarmStartOutcome::default());
-        }
-        let entries = persist::load_entries::<D>(path)?;
-        self.install_entries(entries, true)
-    }
-
-    /// Dispatches between the trusted and verified warm-start paths behind one outcome type —
-    /// the call every `verify`-flagged surface (the frontend's `WarmStart` request,
-    /// `anosy-served --verify-on-load`) goes through, so the two paths
-    /// cannot drift per caller.
-    ///
-    /// # Errors
-    ///
-    /// See [`Deployment::warm_start`] and [`Deployment::warm_start_verified`].
-    pub fn warm_start_with(
-        &self,
-        path: &Path,
-        verify: bool,
-    ) -> Result<WarmStartOutcome, ServeError> {
-        let _span = anosy_telemetry::span("warm_start");
-        if verify {
-            self.warm_start_verified(path)
-        } else {
-            self.warm_start(path).map(|installed| WarmStartOutcome { installed, skipped: 0 })
-        }
-    }
-
-    /// Persists the current synthesis cache for the next process's [`Deployment::warm_start`],
-    /// reporting written and (unencodable-)skipped entry counts. When a journal is attached and
-    /// `path` is its snapshot path, this is a full **compaction** — the snapshot save plus an
-    /// atomic journal truncation under the journal lock (see
-    /// [`Journal::compact_with`]); saving to any other path leaves the journal alone, since
-    /// truncating it against a snapshot the next recovery won't read would lose entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] on filesystem failures.
-    pub fn save_cache(&self, path: &Path) -> Result<SaveOutcome, ServeError> {
-        let _span = anosy_telemetry::span("save_cache");
-        let outcome = match self.journal.get() {
-            Some(journal) if path == journal.config().snapshot_path() => {
-                journal.compact_with(|| self.shared.export_entries())?.snapshot
-            }
-            _ => persist::save_entries(path, &self.shared.export_entries())?,
-        };
-        self.saves_skipped.fetch_add(outcome.skipped as u64, Ordering::Relaxed);
-        Ok(outcome)
+        Ok((installed, skipped))
     }
 
     /// Opens the configured journal ([`ServeConfig::journal`]) and performs the warm restart:
-    /// loads the compaction snapshot, replays the journal's good prefix (truncating a torn
-    /// tail), installs both through the same `verify`-respecting funnel as
-    /// [`Deployment::warm_start_with`], and attaches a commit observer so every subsequently
-    /// committed synthesis entry is appended as it lands. Returns `Ok(None)` when the config
-    /// carries no journal. Call once per deployment, before serving traffic.
+    /// loads the compaction snapshot (a missing one is a cold start), replays the journal's good
+    /// prefix (truncating a torn tail), installs both through one funnel — with `verify`, every
+    /// entry is re-verified with the solver first and the failures are skipped and counted —
+    /// and attaches a commit observer so every subsequently committed synthesis entry is
+    /// appended as it lands. Returns `Ok(None)` when the config carries no journal. Call once
+    /// per deployment, before serving traffic.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable journals or a journal
-    /// of the wrong domain, [`ServeError::Solver`] from `verify`, and [`ServeError::Format`]
-    /// when a journal is already attached.
+    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable or malformed
+    /// snapshots and journals or a journal of the wrong domain, [`ServeError::Solver`] from
+    /// `verify`, and [`ServeError::Format`] when a journal is already attached.
     pub fn open_journal(&self, verify: bool) -> Result<Option<RecoveryOutcome>, ServeError> {
         let Some(config) = self.config.journal.clone() else {
             return Ok(None);
         };
-        let snapshot = self.warm_start_with(&config.snapshot_path(), verify)?;
+        let snapshot_path = config.snapshot_path();
+        let snapshot = if snapshot_path.exists() {
+            persist::load_entries::<D>(&snapshot_path)?
+        } else {
+            Vec::new()
+        };
+        let (snapshot_loaded, snapshot_skipped) = self.install_entries(snapshot, verify)?;
         let recovered = Journal::recover(config)?;
         let replayed = recovered.entries.len();
-        let installed = self.install_entries(recovered.entries, verify)?;
+        let (_, replay_skipped) = self.install_entries(recovered.entries, verify)?;
         if self.journal.set(recovered.journal).is_err() {
             return Err(ServeError::Format {
                 line: 0,
@@ -406,9 +325,10 @@ impl<D: DomainCodec + 'static> Deployment<D> {
             }
         });
         Ok(Some(RecoveryOutcome {
-            snapshot,
+            snapshot_loaded,
+            snapshot_skipped,
             replayed,
-            replay_skipped: installed.skipped,
+            replay_skipped,
             torn: recovered.torn,
         }))
     }
@@ -426,7 +346,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
     }
 
     /// Compacts the attached journal into its snapshot while traffic continues (`Ok(None)`
-    /// without a journal). Equivalent to [`Deployment::save_cache`] at the snapshot path.
+    /// without a journal) — the only writer of the snapshot.
     ///
     /// # Errors
     ///
@@ -482,23 +402,33 @@ mod tests {
         assert_eq!(stats.entries, 1);
     }
 
-    #[test]
-    fn warm_start_round_trips_through_disk() {
+    /// A journaled config at a fresh `name` in the test directory (journal and snapshot
+    /// removed).
+    fn fresh_journal(name: &str) -> crate::JournalConfig {
         let dir = std::env::temp_dir().join("anosy-serve-deployment-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("warm_start.cache");
-        let _ = std::fs::remove_file(&path);
+        let journal = crate::JournalConfig::new(dir.join(name));
+        let _ = std::fs::remove_file(&journal.path);
+        let _ = std::fs::remove_file(journal.snapshot_path());
+        journal
+    }
 
-        let first: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
-        assert_eq!(first.warm_start(&path).unwrap(), 0, "missing file is a cold start");
+    #[test]
+    fn warm_start_round_trips_through_disk() {
+        let config = ServeConfig::for_tests().with_journal(fresh_journal("warm_start.journal"));
+
+        let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
+        let recovery = first.open_journal(false).unwrap().unwrap();
+        assert_eq!(recovery, RecoveryOutcome::default(), "missing files are a cold start");
         first.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         first.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
-        assert_eq!(first.save_cache(&path).unwrap(), crate::SaveOutcome { written: 2, skipped: 0 });
+        let compacted = first.compact().unwrap().unwrap();
+        assert_eq!(compacted.snapshot, crate::SaveOutcome { written: 2, skipped: 0 });
 
-        // A restarted deployment loads the cache and performs no synthesis at all.
-        let second: Deployment<IntervalDomain> =
-            Deployment::new(layout(), ServeConfig::for_tests());
-        assert_eq!(second.warm_start(&path).unwrap(), 2);
+        // A restarted deployment loads the snapshot and performs no synthesis at all.
+        let second: Deployment<IntervalDomain> = Deployment::new(layout(), config);
+        let recovery = second.open_journal(false).unwrap().unwrap();
+        assert_eq!((recovery.snapshot_loaded, recovery.replayed), (2, 0));
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         second.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
         let stats = second.stats();
@@ -532,20 +462,19 @@ mod tests {
         use anosy_domains::AInt;
         use anosy_synth::IndSets;
 
-        let dir = std::env::temp_dir().join("anosy-serve-deployment-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("warm_start_verified.cache");
-        let _ = std::fs::remove_file(&path);
-
-        let cold: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
+        let journal = fresh_journal("warm_start_verified.journal");
+        let config = ServeConfig::for_tests().with_journal(journal.clone());
+        let cold: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
         assert_eq!(
-            cold.warm_start_verified(&path).unwrap(),
-            crate::WarmStartOutcome::default(),
-            "missing file is a cold start"
+            cold.open_journal(true).unwrap().unwrap(),
+            RecoveryOutcome::default(),
+            "missing files are a cold start"
         );
+        drop(cold);
 
-        // One honest entry (synthesized and saved by a real deployment) and one tampered one:
-        // a claimed under-approximation whose truthy set is the whole space.
+        // One honest entry (synthesized by a real deployment) and one tampered one: a claimed
+        // under-approximation whose truthy set is the whole space. Both are written to the
+        // snapshot *and* appended to the journal.
         let honest: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
         honest.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
@@ -564,22 +493,26 @@ mod tests {
                 IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(0, 400)]),
             ),
         });
-        crate::save_entries(&path, &entries).unwrap();
+        persist::save_entries(&journal.snapshot_path(), &entries).unwrap();
+        let appender = Journal::<IntervalDomain>::recover(journal).unwrap().journal;
+        for entry in &entries {
+            appender.append(entry).unwrap();
+        }
+        drop(appender);
 
-        let second: Deployment<IntervalDomain> =
-            Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = second.warm_start_verified(&path).unwrap();
-        assert_eq!(outcome, crate::WarmStartOutcome { installed: 1, skipped: 1 });
-        // Re-loading the same file: the installed key is already cached, so it is neither
-        // re-verified nor re-installed; only the tampered entry is re-checked (and skipped).
-        let again = second.warm_start_with(&path, true).unwrap();
-        assert_eq!(again, crate::WarmStartOutcome { installed: 0, skipped: 1 });
-        // The dispatch helper's trusted path reports installs with zero skips.
-        let trusted: Deployment<IntervalDomain> =
-            Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = trusted.warm_start_with(&path, false).unwrap();
-        assert_eq!(outcome.skipped, 0);
-        assert_eq!(outcome.installed, 2, "the trusted path installs even the tampered entry");
+        let second: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
+        let recovery = second.open_journal(true).unwrap().unwrap();
+        assert_eq!((recovery.snapshot_loaded, recovery.snapshot_skipped), (1, 1));
+        // The journal replays the same two entries: the installed key is already cached, so it
+        // is neither re-verified nor re-installed; only the tampered entry is re-checked (and
+        // skipped).
+        assert_eq!((recovery.replayed, recovery.replay_skipped), (2, 1));
+        // Without `verify` the recovery installs even the tampered entry, with zero skips.
+        let trusted: Deployment<IntervalDomain> = Deployment::new(layout(), config);
+        let recovery = trusted.open_journal(false).unwrap().unwrap();
+        assert_eq!((recovery.snapshot_loaded, recovery.snapshot_skipped), (2, 0));
+        assert_eq!(recovery.replay_skipped, 0);
+        drop(trusted);
         // The installed entry serves registrations with zero synthesis, like a plain warm start.
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         assert_eq!(second.stats().cache.synth_misses, 0);
@@ -592,15 +525,7 @@ mod tests {
 
     #[test]
     fn journal_makes_restarts_lossless_between_saves() {
-        use crate::journal::JournalConfig;
-
-        let dir = std::env::temp_dir().join("anosy-serve-deployment-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("restart.journal");
-        let journal = JournalConfig::new(&path);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal.snapshot_path());
-        let config = ServeConfig::for_tests().with_journal(journal.clone());
+        let config = ServeConfig::for_tests().with_journal(fresh_journal("restart.journal"));
 
         // First life: journal on, synthesize two queries, then "crash" (drop without saving).
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
@@ -619,16 +544,16 @@ mod tests {
         second.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
         assert_eq!(second.stats().cache.synth_misses, 0, "replayed entries skip synthesis");
 
-        // Saving to the snapshot path is a compaction: entries move journal → snapshot.
-        let saved = second.save_cache(&journal.snapshot_path()).unwrap();
-        assert_eq!(saved, SaveOutcome { written: 2, skipped: 0 });
+        // Compaction moves the entries journal → snapshot.
+        let compacted = second.compact().unwrap().unwrap();
+        assert_eq!(compacted.snapshot, crate::SaveOutcome { written: 2, skipped: 0 });
         assert_eq!(second.journal_stats().compacted, 2);
         drop(second);
 
         // Third life: everything now comes from the snapshot, nothing from the journal.
         let third: Deployment<IntervalDomain> = Deployment::new(layout(), config);
         let recovery = third.open_journal(false).unwrap().unwrap();
-        assert_eq!(recovery.snapshot.installed, 2);
+        assert_eq!(recovery.snapshot_loaded, 2);
         assert_eq!(recovery.replayed, 0);
         assert!(
             third.open_journal(false).is_err(),

@@ -7,10 +7,10 @@ use std::fmt;
 /// Errors raised by `anosy-serve` operations.
 #[derive(Debug)]
 pub enum ServeError {
-    /// An I/O failure while reading or writing the warm-start cache.
+    /// An I/O failure while reading or writing the journal or its snapshot.
     Io(std::io::Error),
-    /// The warm-start cache file is malformed (wrong version, wrong domain, or a line that does
-    /// not decode). The deployment treats the cache as cold in this case.
+    /// A snapshot or journal file is malformed (wrong version, wrong domain, or a line that does
+    /// not decode).
     Format {
         /// 1-based line of the offending input, `0` for file-level problems.
         line: usize,

@@ -594,23 +594,6 @@ where
                     .map(|r| telemetry::trace_json(std::slice::from_ref(&r)))
                     .unwrap_or_else(|| "[]".to_string()),
             },
-            ServeRequest::SaveCache { path } => match self.deployment.save_cache(&path) {
-                Ok(outcome) => {
-                    ServeResponse::CacheSaved { entries: outcome.written, skipped: outcome.skipped }
-                }
-                Err(e) => ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string())),
-            },
-            ServeRequest::WarmStart { path, verify } => {
-                match self.deployment.warm_start_with(&path, verify) {
-                    Ok(outcome) => ServeResponse::WarmStarted {
-                        loaded: outcome.installed,
-                        skipped: outcome.skipped,
-                    },
-                    Err(e) => {
-                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
-                    }
-                }
-            }
             ServeRequest::CloseSession { session } => match self.sessions.remove(&session) {
                 Some(_) => ServeResponse::SessionClosed { session },
                 None => ServeResponse::Rejected(Denial::unknown_session(session)),

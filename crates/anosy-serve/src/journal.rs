@@ -1,8 +1,9 @@
-//! The append-only synthesis journal (durability between snapshots).
+//! The append-only synthesis journal (durability between snapshots) — the deployment's one
+//! durability path.
 //!
-//! A warm-start snapshot (the `persist` module) only captures the cache at the moment somebody
-//! called `SaveCache` — a crash between saves silently forgets every synthesis since, and with
-//! it the knowledge bound the deployment owes its tenants. The journal closes that window:
+//! A snapshot (the `persist` module) only captures the cache at the moment it was written — a
+//! crash between snapshots would silently forget every synthesis since, and with it the
+//! knowledge bound the deployment owes its tenants. The journal closes that window:
 //! every entry the single-flight synthesis path commits is **appended as it lands** (via the
 //! shared cache's commit observer), so a warm restart is *snapshot load + journal replay* and
 //! re-synthesizes nothing it already served.
@@ -126,8 +127,8 @@ pub struct JournalConfig {
     pub path: PathBuf,
     /// When appended records reach the OS.
     pub flush: FlushPolicy,
-    /// Compact every `N` server ticks (`None`: only on explicit `SaveCache` requests to the
-    /// snapshot path).
+    /// Compact every `N` server ticks (`None`: only on explicit [`crate::Deployment::compact`]
+    /// calls).
     pub compact_every: Option<u64>,
 }
 

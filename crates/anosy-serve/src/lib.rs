@@ -27,11 +27,12 @@
 //!   private read-only [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
 //!   [`anosy_solver::SolverStats`].
 //!
-//! * **The warm-start cache** ([`Deployment::warm_start`] / [`Deployment::save_cache`]): the
-//!   synthesis cache serialized to a simple versioned text format, so a restarted deployment
-//!   skips cold-start synthesis entirely for every query it has served before. For caches of
-//!   dubious provenance, [`Deployment::warm_start_verified`] re-checks every entry's refinement
-//!   obligations with the solver before installing it.
+//! * **The durable synthesis cache** ([`Deployment::open_journal`], the [`journal`] module):
+//!   every committed synthesis is appended to a journal as it lands, and periodic compaction
+//!   folds the journal into a snapshot in a simple versioned text format, so a restarted
+//!   deployment skips cold-start synthesis entirely for every query it has served before. With
+//!   `verify`, recovery re-checks every entry's refinement obligations with the solver before
+//!   installing it.
 //!
 //! On top of the deployment sits the **serving frontend** ([`Frontend`]): a sans-IO state
 //! machine exposing the whole surface as one typed request/response protocol
@@ -116,12 +117,12 @@ pub mod wire;
 
 pub use batch::{downgrade_batch, downgrade_batch_fused, FusedGroup};
 pub use config::ServeConfig;
-pub use deployment::{Deployment, RecoveryOutcome, ServeStats, WarmStartOutcome};
+pub use deployment::{Deployment, RecoveryOutcome, ServeStats};
 pub use error::ServeError;
 pub use frontend::{Frontend, FrontendStats};
 pub use journal::{FlushPolicy, Journal, JournalConfig, JournalStats};
 pub use parallel::{par_check_validity, par_count_models, par_is_valid, Sharded};
-pub use persist::{load_entries, save_entries, SaveOutcome};
+pub use persist::SaveOutcome;
 pub use pool::ShardPool;
 pub use popsim::{compile as compile_population, CompileOptions, CompiledPopulation};
 pub use proto::{

@@ -1,7 +1,7 @@
-//! The versioned on-disk format of the synthesis cache (warm start).
+//! The versioned on-disk format of the synthesis cache: the journal's compaction snapshot.
 //!
-//! A restarted deployment loads this file at startup and skips cold-start synthesis entirely for
-//! every query it has served before (the ROADMAP's persist/warm-start item). The format is a
+//! A restarted deployment loads this file at startup ([`crate::Deployment::open_journal`]) and
+//! skips cold-start synthesis entirely for every query it has served before. The format is a
 //! deliberately simple line-oriented text file — the workspace carries no serde — with a version
 //! header, so future layout changes can evolve it without ambiguity:
 //!
@@ -20,14 +20,14 @@
 //! fragment — property-tested in `anosy-logic`); domain elements use the
 //! [`DomainCodec`](anosy_synth::DomainCodec) hooks. Entries whose predicate does not round-trip
 //! (e.g. one using a printable-fragment escape hatch) are *skipped on save* rather than written
-//! unreadably; [`save_entries`] reports both counts as a [`SaveOutcome`], and the serving
-//! surfaces propagate the skipped count (wire `ok saved` responses, the stats snapshot) so a
-//! lossy save is visible to operators.
+//! unreadably; [`save_entries`] reports both counts as a [`SaveOutcome`], and the stats
+//! snapshot's `saves_skipped` counter propagates the skipped count so a lossy save is visible to
+//! operators.
 //!
-//! Loading is all-or-nothing per file (a malformed line fails the load with
-//! [`ServeError::Format`]) but tolerant in effect: the deployment treats a failed load as a cold
-//! cache and proceeds. Loaded entries are trusted — they were verified before being saved — so a
-//! warm start performs no solver work at all.
+//! Loading is all-or-nothing per file (a malformed line fails the load, and with it the journal
+//! open, with [`ServeError::Format`]). Loaded entries are trusted — they were verified before
+//! being saved — so a warm start performs no solver work at all unless recovery was asked to
+//! re-verify them.
 
 use crate::ServeError;
 use anosy_core::SharedCacheEntry;
@@ -64,10 +64,10 @@ fn decode_layout(text: &str, line: usize) -> Result<SecretLayout, ServeError> {
         .ok_or_else(|| format_err(line, format!("malformed layout `{text}`")))
 }
 
-/// What a [`save_entries`] call accomplished: entries written, and entries that could not be
-/// encoded faithfully and were skipped. A non-zero `skipped` means the on-disk cache is lossy
-/// relative to the in-memory one — the count rides the `ok saved` wire response and the stats
-/// snapshot so operators can see it.
+/// What a snapshot save ([`crate::Deployment::compact`]) accomplished: entries written, and
+/// entries that could not be encoded faithfully and were skipped. A non-zero `skipped` means
+/// the on-disk cache is lossy relative to the in-memory one — the count rides the stats
+/// snapshot's `saves_skipped` so operators can see it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveOutcome {
     /// Entries written to the file.

@@ -2,8 +2,8 @@
 //!
 //! Everything a deployment can do — open a session under a [`PolicySpec`], register a query,
 //! downgrade one secret or a batch, count models, check validity, inspect knowledge and stats,
-//! save or warm-start the synthesis cache, close a session — is a [`ServeRequest`], and every
-//! answer is a [`ServeResponse`] tagged with the [`RequestId`] it answers. The
+//! close a session — is a [`ServeRequest`], and every answer is a [`ServeResponse`] tagged with
+//! the [`RequestId`] it answers. The
 //! [`Frontend`](crate::Frontend) state machine consumes requests and emits tagged responses
 //! without performing any I/O itself (sans-IO, in the sense the networking world uses the term):
 //! transports — the [`wire`](crate::wire) line codec and the `anosy-served` stdin/stdout binary,
@@ -15,19 +15,12 @@
 //! [`anosy_core::AnosySession::downgrade`] replay would error — because the monitor's refusal
 //! is part of its observable (and deliberately secret-independent) behavior.
 //! [`ServeResponse::Rejected`] is how every *non-downgrade* request reports failure (unknown
-//! session on a batch/knowledge/close, synthesis failure, cache I/O).
-//!
-//! **Trust boundary.** [`ServeRequest::SaveCache`] and [`ServeRequest::WarmStart`] carry
-//! filesystem paths the deployment will write and read. Over stdin/stdout (`anosy-served`) the
-//! requester *is* the operator, so this is fine; a transport that exposes the protocol to
-//! untrusted connections (the future socket executor) must gate or drop these two requests —
-//! the frontend executes them for whoever submits them.
+//! session on a batch/knowledge/close, synthesis failure).
 
 use anosy_core::{AnosyError, PolicySpec};
 use anosy_logic::Point;
 use anosy_synth::{ApproxKind, QueryDef};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::ServeStats;
@@ -140,19 +133,6 @@ pub enum ServeRequest {
     },
     /// Reads the frontend + deployment aggregate counters.
     Stats,
-    /// Persists the synthesis cache for a later warm start.
-    SaveCache {
-        /// Where to write the cache file.
-        path: PathBuf,
-    },
-    /// Loads a previously saved synthesis cache.
-    WarmStart {
-        /// The cache file to load (a missing file is a cold start).
-        path: PathBuf,
-        /// When `true`, re-verify every entry's refinement obligations with the solver before
-        /// installing it ([`crate::Deployment::warm_start_verified`]).
-        verify: bool,
-    },
     /// Closes a session, dropping its tracked knowledge.
     CloseSession {
         /// The session to close.
@@ -180,7 +160,7 @@ pub enum DenialCode {
     UnknownSession,
     /// A cache-only registration found no synthesized entry.
     NotSynthesized,
-    /// Anything else (synthesis/verification/solver/cache failures); see the message.
+    /// Anything else (synthesis/verification/solver failures); see the message.
     Internal,
 }
 
@@ -299,7 +279,7 @@ pub struct StatsSnapshot {
     /// journal is deployment-shared, so a fold of per-shard snapshots carries these through
     /// unsummed.
     pub journal: [u64; 4],
-    /// Entries skipped as unencodable across every cache save of this deployment (the
+    /// Entries skipped as unencodable across every journal compaction of this deployment (the
     /// [`crate::SaveOutcome::skipped`] tally; deployment-shared like
     /// [`StatsSnapshot::journal`]).
     pub saves_skipped: u64,
@@ -341,21 +321,6 @@ pub enum ServeResponse {
     },
     /// The aggregate counters.
     Stats(Box<StatsSnapshot>),
-    /// The synthesis cache was persisted.
-    CacheSaved {
-        /// Entries written.
-        entries: usize,
-        /// Entries skipped because the text encoding cannot represent them faithfully
-        /// ([`crate::SaveOutcome::skipped`]) — nonzero means the save was lossy.
-        skipped: usize,
-    },
-    /// A warm start completed.
-    WarmStarted {
-        /// Entries installed into the cache.
-        loaded: usize,
-        /// Entries refused by `--verify-on-load` re-verification.
-        skipped: usize,
-    },
     /// A session was closed.
     SessionClosed {
         /// The id that is now free (ids are never reused).
@@ -373,7 +338,7 @@ pub enum ServeResponse {
         /// One line of chrome://tracing JSON (`[]` when nothing records).
         json: String,
     },
-    /// The request itself failed (unknown session, synthesis failure, cache I/O, …).
+    /// The request itself failed (unknown session, synthesis failure, …).
     Rejected(Denial),
 }
 

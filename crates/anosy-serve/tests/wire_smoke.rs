@@ -94,6 +94,57 @@ fn the_same_transcript_rides_a_loopback_socket() {
     );
 }
 
+/// No request reads or writes a path the client chooses: `save`/`warm` lines are unknown
+/// requests over a socket, so they neither create the file they name nor echo any of its
+/// contents back in an error.
+#[test]
+fn socket_clients_cannot_name_files() {
+    let dir = std::env::temp_dir().join(format!("anosy-served-paths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let written = dir.join("x.cache");
+    let secret = dir.join("secret.txt");
+    let _ = std::fs::remove_file(&written);
+    std::fs::write(&secret, "first line secret\nsecond line\n").expect("secret file");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
+        .args(["--layout", "x:0:400 y:0:400", "--listen", "127.0.0.1:0", "--accept", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("anosy-served spawns");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner line is readable");
+    let addr = banner
+        .trim()
+        .strip_prefix("# listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
+        .to_string();
+
+    let mut stream = TcpStream::connect(&addr).expect("loopback connect");
+    let script = format!(
+        "save path={}\nwarm path={}\nwarm verify path={}\n",
+        written.display(),
+        secret.display(),
+        secret.display()
+    );
+    stream.write_all(script.as_bytes()).expect("requests are written");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut transcript = String::new();
+    stream.read_to_string(&mut transcript).expect("transcript is readable");
+    assert!(child.wait().expect("anosy-served exits").success());
+
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines.len(), 3, "one answer per request: {transcript}");
+    for line in &lines {
+        assert!(line.starts_with("! "), "a path request must not parse: `{line}`");
+    }
+    assert!(!transcript.contains("first line secret"), "an answer leaked the file: {transcript}");
+    assert!(!written.exists(), "a client request created {}", written.display());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_arguments_fail_with_usage() {
     let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
@@ -118,7 +169,9 @@ fn bad_arguments_fail_with_usage() {
     for (args, what) in [
         (&["--compact-every", "3"][..], "--compact-every without --journal"),
         (&["--journal-flush", "on-tick"][..], "--journal-flush without --journal"),
-        (&["--verify-on-load"][..], "--verify-on-load without --warm-start or --journal"),
+        (&["--verify-on-load"][..], "--verify-on-load without --journal"),
+        (&["--warm-start", "x.cache"][..], "the unknown flag --warm-start"),
+        (&["--save-on-exit", "x.cache"][..], "the unknown flag --save-on-exit"),
         (&["--listen", "127.0.0.1:0", "--tick-ms", "5"][..], "--tick-ms without --ticked"),
         (&["--no-telemetry"][..], "the unknown flag --no-telemetry"),
         (&["--io-log-cap", "8"][..], "the unknown flag --io-log-cap"),

@@ -11,7 +11,7 @@
 //! * [`ifc`] — the LIO-style information-flow substrate;
 //! * [`core`] — knowledge tracking, policies and the bounded downgrade (`AnosySession`);
 //! * [`serve`] — the deployment layer: shared term store + synthesis cache across sessions,
-//!   sharded parallel solver driver, batched downgrades, warm-start persistence, the serving
+//!   sharded parallel solver driver, batched downgrades, the durable synthesis journal, the serving
 //!   frontend — a sans-IO `Frontend` state machine speaking the typed
 //!   `ServeRequest`/`ServeResponse` protocol (line-codec in `serve::wire`) with per-tick
 //!   downgrade batching — and the event-loop `Server` reactor driving it over a pluggable

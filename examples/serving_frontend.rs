@@ -4,22 +4,29 @@
 //! server transport would: typed `ServeRequest`s submitted over logical connections into a
 //! sans-IO `Frontend`, per-tick batching of downgrades, responses tagged with request ids, and
 //! the line-oriented wire form every request and response also has (`anosy-served` speaks
-//! exactly these lines over stdin/stdout). Finishes with a save + verified warm start, the
-//! restart path of a real deployment.
+//! exactly these lines over stdin/stdout). The deployment journals every synthesis as it lands,
+//! and the walkthrough finishes with a verified warm restart from that journal, the restart path
+//! of a real deployment.
 //!
 //! Run with: `cargo run --release -p anosy --example serving_frontend`
 
 use anosy::prelude::*;
-use anosy::serve::{proto::ServeRequest as Req, wire, ServeResponse};
+use anosy::serve::{proto::ServeRequest as Req, wire, JournalConfig, ServeResponse};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     run(ServeConfig::new())
 }
 
 fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
-    // The deployment: the paper's 400 × 400 location grid, served through a frontend.
+    // The deployment: the paper's 400 × 400 location grid, served through a frontend, with a
+    // journal that appends every synthesized entry as it commits.
     let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
-    let deployment: Deployment<IntervalDomain> = Deployment::new(layout.clone(), config);
+    let journal = JournalConfig::new(std::env::temp_dir().join("anosy-serving-frontend.journal"));
+    let _ = std::fs::remove_file(&journal.path);
+    let _ = std::fs::remove_file(journal.snapshot_path());
+    let config = config.with_journal(journal.clone());
+    let deployment: Deployment<IntervalDomain> = Deployment::new(layout.clone(), config.clone());
+    deployment.open_journal(false)?;
     let mut frontend = Frontend::new(deployment);
 
     // Two logical connections: an operator registering the query set, and a client app.
@@ -38,7 +45,7 @@ fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
     let open = Req::OpenSession { policy: PolicySpec::parse("min-size:100").unwrap() };
     println!("-> {}", wire::encode_request(&register)?);
     println!("-> {}", wire::encode_request(&open)?);
-    frontend.submit(operator, register);
+    frontend.submit(operator, register.clone());
     frontend.submit(client, open);
     let mut session = SessionId(0);
     for tagged in frontend.tick() {
@@ -71,21 +78,20 @@ fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
         println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
     }
 
-    // Tick 4 — persistence: save the synthesis cache, then prove a restarted deployment can
-    // warm-start from it with every entry re-verified against its refinement obligations.
-    let path = std::env::temp_dir().join("anosy-serving-frontend-example.cache");
-    frontend.submit(operator, Req::SaveCache { path: path.clone() });
-    for tagged in frontend.tick() {
-        println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
-    }
-
-    let restarted: Deployment<IntervalDomain> =
-        Deployment::new(layout, frontend.deployment().config().clone());
+    // Restart — the process dies without saving anything, and a restarted deployment recovers
+    // the synthesis cache from the journal, re-verifying every entry against its refinement
+    // obligations before installing it. Re-registering the query is then a pure cache hit.
+    drop(frontend);
+    let restarted: Deployment<IntervalDomain> = Deployment::new(layout, config);
+    let recovery = restarted.open_journal(true)?.expect("the config carries a journal");
+    println!(
+        "# journal recovered replayed={} skipped={}",
+        recovery.replayed, recovery.replay_skipped
+    );
     let mut restarted_front = Frontend::new(restarted);
     let conn = restarted_front.connect();
-    let warm = Req::WarmStart { path: path.clone(), verify: true };
-    println!("-> {}", wire::encode_request(&warm)?);
-    restarted_front.submit(conn, warm);
+    println!("-> {}", wire::encode_request(&register)?);
+    restarted_front.submit(conn, register);
     for tagged in restarted_front.tick() {
         println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
     }
@@ -97,7 +103,9 @@ fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
         if stats.cache.warm_loaded == 1 { "y" } else { "ies" },
         stats.cache.synth_misses,
     );
-    let _ = std::fs::remove_file(&path);
+    drop(restarted_front);
+    let _ = std::fs::remove_file(&journal.path);
+    let _ = std::fs::remove_file(journal.snapshot_path());
     Ok(())
 }
 
