@@ -172,11 +172,6 @@ impl<D: AbstractDomain> AnosySession<D> {
         self.cache.len()
     }
 
-    /// Name of the enforced policy (for reports and error messages).
-    pub fn policy_name(&self) -> String {
-        self.policy.name()
-    }
-
     /// A cloneable handle on the enforced policy. This is the hook the batched-downgrade driver
     /// uses to run policy checks on worker threads; the policy itself stays immutable.
     pub fn policy_handle(&self) -> Arc<dyn Policy<D> + Send + Sync> {

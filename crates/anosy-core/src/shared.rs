@@ -187,11 +187,6 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         *recover(self.inner.observer.lock()) = Some(Arc::new(observer));
     }
 
-    /// Removes the commit observer installed by [`SharedSynthCache::set_commit_observer`].
-    pub fn clear_commit_observer(&self) {
-        *recover(self.inner.observer.lock()) = None;
-    }
-
     /// Interns a predicate into the shared store (the only store write; serialized by the
     /// `RwLock`).
     pub fn intern_pred(&self, pred: &Pred) -> PredId {

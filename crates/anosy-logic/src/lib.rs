@@ -15,9 +15,9 @@
 //! * normal forms ([`simplify_pred`], constant folding) and a small surface parser so examples
 //!   and tests can write queries as text;
 //! * a hash-consed [`TermStore`] interning both syntaxes behind copyable [`ExprId`]/[`PredId`]
-//!   handles with O(1) equality/hashing, structural sharing and store-resident memo tables for
-//!   simplification, free variables and interval range analysis — the representation every hot
-//!   consumer (solver, synthesizer, verifier, sessions) works on. The tree types remain the
+//!   handles with O(1) equality/hashing, structural sharing, store-resident memo tables for
+//!   simplification and free variables, and interval range analysis — the representation every
+//!   hot consumer (solver, synthesizer, verifier, sessions) works on. The tree types remain the
 //!   construction/display layer; see the [`store`] module docs for the migration story.
 //!
 //! # Example
@@ -63,7 +63,5 @@ pub use parser::{parse_pred, parse_pred_with_layout};
 pub use point::Point;
 pub use pred::Pred;
 pub use range::{IntBox, Range};
-pub use store::{
-    ExprId, ExprNode, PredId, PredNode, PredShape, StoreStats, TermStore, BOX_MEMO_MIN_DEPTH,
-};
+pub use store::{ExprId, ExprNode, PredId, PredNode, StoreStats, TermStore};
 pub use tribool::TriBool;

@@ -13,10 +13,12 @@
 //!   equal, so candidate deduplication and memo keys cost a `u32` compare;
 //! * **structural sharing** — a predicate mentioned by a thousand search nodes exists once;
 //! * **store-resident memo tables** — [`TermStore::simplify`] (NNF + flattening + constant
-//!   folding), [`TermStore::negate_simplified`], [`TermStore::pred_free_vars`] and the abstract
-//!   interval evaluators [`TermStore::eval_abstract_expr`] / [`TermStore::eval_abstract_pred`]
-//!   (keyed by `(id, box)`) are cached in the store and reused across search nodes, queries and
-//!   sessions.
+//!   folding), [`TermStore::negate_simplified`] and [`TermStore::pred_free_vars`] are cached in
+//!   the store and reused across search nodes, queries and sessions.
+//!
+//! The abstract interval evaluators [`TermStore::eval_abstract_expr`] /
+//! [`TermStore::eval_abstract_pred`] walk the arena directly and cache nothing: the query terms
+//! the solver meets are shallow, and recomputing a range is cheaper than hashing the box.
 //!
 //! Lowering is explicit: [`TermStore::intern_pred`] walks a [`Pred`] tree once and returns its
 //! id; [`TermStore::pred_to_tree`] reconstructs a tree for display or for tree-only consumers.
@@ -123,29 +125,6 @@ pub enum PredNode {
     Iff(PredId, PredId),
 }
 
-/// Shallow, allocation-free view of a [`PredNode`]: connectives carry only their child count,
-/// so hot consumers (the solver's narrowing loops) can dispatch on a node without cloning its
-/// child vector, fetching children by index via [`TermStore::pred_child`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredShape {
-    /// The constant `true`.
-    True,
-    /// The constant `false`.
-    False,
-    /// A comparison between two interned expressions.
-    Cmp(CmpOp, ExprId, ExprId),
-    /// Logical negation.
-    Not(PredId),
-    /// N-ary conjunction with the given child count.
-    And(usize),
-    /// N-ary disjunction with the given child count.
-    Or(usize),
-    /// Implication.
-    Implies(PredId, PredId),
-    /// Bi-implication.
-    Iff(PredId, PredId),
-}
-
 /// Hit/miss counters for the store's interning tables and memo caches.
 ///
 /// Purely informational (never influence results); surfaced by the solver and session layers so
@@ -168,27 +147,26 @@ pub struct StoreStats {
     pub free_vars_hits: u64,
     /// Free-variable requests computed fresh.
     pub free_vars_misses: u64,
-    /// Expression range analyses answered from the `(ExprId, IntBox)` memo table.
+    /// Always 0: the box-keyed abstract-evaluation memo this counted was removed. The field
+    /// stays only because `perfbench`'s replay still reads it.
     pub range_hits: u64,
-    /// Expression range analyses computed fresh.
+    /// Always 0 (see [`StoreStats::range_hits`]).
     pub range_misses: u64,
-    /// Predicate abstract evaluations answered from the `(PredId, IntBox)` memo table.
+    /// Always 0 (see [`StoreStats::range_hits`]).
     pub tri_hits: u64,
-    /// Predicate abstract evaluations computed fresh.
+    /// Always 0 (see [`StoreStats::range_hits`]).
     pub tri_misses: u64,
-    /// Times a box-keyed memo table overflowed its cap and was cleared.
-    pub box_memo_evictions: u64,
 }
 
 impl StoreStats {
     /// Total memo-table hits across all caches (excluding interning dedup).
     pub fn cache_hits(&self) -> u64 {
-        self.simplify_hits + self.free_vars_hits + self.range_hits + self.tri_hits
+        self.simplify_hits + self.free_vars_hits
     }
 
     /// Total memo-table misses across all caches (excluding interning dedup).
     pub fn cache_misses(&self) -> u64 {
-        self.simplify_misses + self.free_vars_misses + self.range_misses + self.tri_misses
+        self.simplify_misses + self.free_vars_misses
     }
 }
 
@@ -206,17 +184,6 @@ impl fmt::Display for StoreStats {
     }
 }
 
-/// Box-keyed memo tables are cleared once they exceed this many entries, bounding memory on
-/// long-running sessions; the eviction is counted in [`StoreStats::box_memo_evictions`].
-const BOX_MEMO_CAP: usize = 1 << 16;
-
-/// Depth below which terms are evaluated directly instead of through the `(id, box)` memo
-/// tables — "keyed by `(id, box)` where profitable": for the shallow comparisons that dominate
-/// benchmark queries, recomputing is measurably cheaper than hashing the box (the fig5 suite runs
-/// at parity with the tree evaluator), while a hit on a genuinely deep term saves a whole subtree
-/// walk and a miss costs one box hash it was going to dwarf anyway. Results never depend on it.
-pub const BOX_MEMO_MIN_DEPTH: u8 = 8;
-
 /// A hash-consed arena of predicates and integer expressions with memoized analyses.
 ///
 /// See the [module docs](self) for the design. A store is an append-only value: ids are only
@@ -224,18 +191,14 @@ pub const BOX_MEMO_MIN_DEPTH: u8 = 8;
 /// returns the same id.
 ///
 /// Stores are `Clone`: a clone is a [`TermStore::snapshot`] — it carries the full arena *and*
-/// every memo table, and ids remain valid in it (interning is deterministic and append-only, so
-/// a clone taken at arena size `n` agrees with the original on the first `n` ids forever). This
-/// is what the parallel solver shards are seeded with: each worker mutates only its private
-/// snapshot's memo tables, no synchronization needed.
+/// the simplification and free-variable memo tables, and ids remain valid in it (interning is
+/// deterministic and append-only, so a clone taken at arena size `n` agrees with the original
+/// on the first `n` ids forever). This is what the parallel solver shards are seeded with: each
+/// worker mutates only its private snapshot, no synchronization needed.
 #[derive(Debug, Default, Clone)]
 pub struct TermStore {
     exprs: Vec<ExprNode>,
     preds: Vec<PredNode>,
-    /// Nesting depth per expression node (saturating at `u8::MAX`); gates the box-keyed memos.
-    expr_depths: Vec<u8>,
-    /// Nesting depth per predicate node (saturating at `u8::MAX`); gates the box-keyed memos.
-    pred_depths: Vec<u8>,
     expr_ids: HashMap<ExprNode, ExprId>,
     pred_ids: HashMap<PredNode, PredId>,
     /// `nnf(p, negated)` results; keyed by the input id and the polarity.
@@ -246,13 +209,6 @@ pub struct TermStore {
     pred_vars_memo: HashMap<PredId, Arc<[usize]>>,
     /// Sorted, deduplicated free variables per expression.
     expr_vars_memo: HashMap<ExprId, Arc<[usize]>>,
-    /// Interval range of a (deep) expression over a box. Two-level so a hit costs one box hash
-    /// and no clone.
-    range_memo: HashMap<ExprId, HashMap<IntBox, Range>>,
-    range_memo_len: usize,
-    /// Three-valued truth of a (deep) predicate over a box.
-    tri_memo: HashMap<PredId, HashMap<IntBox, TriBool>>,
-    tri_memo_len: usize,
     stats: StoreStats,
 }
 
@@ -277,9 +233,10 @@ impl TermStore {
         self.stats
     }
 
-    /// An independent copy of the store: same arena, same ids, same memo tables. Workers of a
-    /// sharded search each take one snapshot and then proceed without any synchronization; every
-    /// id interned before the snapshot resolves identically in all copies.
+    /// An independent copy of the store: same arena, same ids, same simplification and
+    /// free-variable memo tables. Workers of a sharded search each take one snapshot and then
+    /// proceed without any synchronization; every id interned before the snapshot resolves
+    /// identically in all copies.
     pub fn snapshot(&self) -> TermStore {
         self.clone()
     }
@@ -311,59 +268,13 @@ impl TermStore {
         &self.preds[id.index()]
     }
 
-    /// Number of children of an `And`/`Or` node (`0` for every other node). Together with
-    /// [`TermStore::pred_child`] this lets hot loops walk n-ary connectives without cloning the
-    /// child vector.
-    pub fn pred_children_len(&self, id: PredId) -> usize {
-        match self.pred_node(id) {
-            PredNode::And(ps) | PredNode::Or(ps) => ps.len(),
-            _ => 0,
-        }
-    }
-
-    /// The `i`-th child of an `And`/`Or` node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not a connective or `i` is out of bounds.
-    pub fn pred_child(&self, id: PredId, i: usize) -> PredId {
-        match self.pred_node(id) {
-            PredNode::And(ps) | PredNode::Or(ps) => ps[i],
-            other => panic!("pred_child on non-connective node {other:?}"),
-        }
-    }
-
-    fn expr_depth(&self, id: ExprId) -> u8 {
-        self.expr_depths[id.index()]
-    }
-
-    fn pred_depth(&self, id: PredId) -> u8 {
-        self.pred_depths[id.index()]
-    }
-
     fn intern_expr_node(&mut self, node: ExprNode) -> ExprId {
         if let Some(&id) = self.expr_ids.get(&node) {
             self.stats.expr_dedup_hits += 1;
             return id;
         }
-        let depth = match &node {
-            ExprNode::Const(_) | ExprNode::Var(_) => 1,
-            ExprNode::Add(a, b)
-            | ExprNode::Sub(a, b)
-            | ExprNode::Min(a, b)
-            | ExprNode::Max(a, b) => self.expr_depth(*a).max(self.expr_depth(*b)).saturating_add(1),
-            ExprNode::Neg(a) | ExprNode::Scale(_, a) | ExprNode::Abs(a) => {
-                self.expr_depth(*a).saturating_add(1)
-            }
-            ExprNode::Ite(c, t, e) => self
-                .pred_depth(*c)
-                .max(self.expr_depth(*t))
-                .max(self.expr_depth(*e))
-                .saturating_add(1),
-        };
         let id = ExprId(u32::try_from(self.exprs.len()).expect("term store arena overflow"));
         self.exprs.push(node.clone());
-        self.expr_depths.push(depth);
         self.expr_ids.insert(node, id);
         self.stats.exprs_interned += 1;
         id
@@ -374,22 +285,8 @@ impl TermStore {
             self.stats.pred_dedup_hits += 1;
             return id;
         }
-        let depth = match &node {
-            PredNode::True | PredNode::False => 1,
-            PredNode::Cmp(_, a, b) => {
-                self.expr_depth(*a).max(self.expr_depth(*b)).saturating_add(1)
-            }
-            PredNode::Not(p) => self.pred_depth(*p).saturating_add(1),
-            PredNode::And(ps) | PredNode::Or(ps) => {
-                ps.iter().map(|p| self.pred_depth(*p)).max().unwrap_or(0).saturating_add(1)
-            }
-            PredNode::Implies(a, b) | PredNode::Iff(a, b) => {
-                self.pred_depth(*a).max(self.pred_depth(*b)).saturating_add(1)
-            }
-        };
         let id = PredId(u32::try_from(self.preds.len()).expect("term store arena overflow"));
         self.preds.push(node.clone());
-        self.pred_depths.push(depth);
         self.pred_ids.insert(node, id);
         self.stats.preds_interned += 1;
         id
@@ -701,58 +598,14 @@ impl TermStore {
         }
     }
 
-    /// A shallow, allocation-free copy of a predicate node (see [`PredShape`]).
-    pub fn pred_shape(&self, id: PredId) -> PredShape {
-        match self.pred_node(id) {
-            PredNode::True => PredShape::True,
-            PredNode::False => PredShape::False,
-            PredNode::Cmp(op, a, b) => PredShape::Cmp(*op, *a, *b),
-            PredNode::Not(p) => PredShape::Not(*p),
-            PredNode::And(ps) => PredShape::And(ps.len()),
-            PredNode::Or(ps) => PredShape::Or(ps.len()),
-            PredNode::Implies(a, b) => PredShape::Implies(*a, *b),
-            PredNode::Iff(a, b) => PredShape::Iff(*a, *b),
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Abstract (interval) evaluation with (id, box)-keyed memoization.
+    // Abstract (interval) evaluation.
     // ------------------------------------------------------------------
 
     /// Range analysis: evaluates an interned expression over a box with interval arithmetic.
-    /// Deep terms (where a hit saves a whole subtree walk) are memoized by `(id, box)` so
-    /// identical analyses across search nodes are answered from the cache; shallow terms are
-    /// recomputed directly, which is cheaper than hashing the box. Agrees with
-    /// [`IntExpr::eval_abstract`].
-    pub fn eval_abstract_expr(&mut self, id: ExprId, boxed: &IntBox) -> Range {
-        let memoize = self.expr_depth(id) >= BOX_MEMO_MIN_DEPTH;
-        if memoize {
-            if let Some(&r) = self.range_memo.get(&id).and_then(|per_box| per_box.get(boxed)) {
-                self.stats.range_hits += 1;
-                return r;
-            }
-            self.stats.range_misses += 1;
-        }
-        // Only memoized misses are timed: a hit on the next identical lookup saves exactly that.
-        let result = if memoize {
-            anosy_telemetry::time("store.range_compute", || self.compute_abstract_expr(id, boxed))
-        } else {
-            self.compute_abstract_expr(id, boxed)
-        };
-        if memoize {
-            if self.range_memo_len >= BOX_MEMO_CAP {
-                self.range_memo.clear();
-                self.range_memo_len = 0;
-                self.stats.box_memo_evictions += 1;
-            }
-            self.range_memo.entry(id).or_default().insert(boxed.clone(), result);
-            self.range_memo_len += 1;
-        }
-        result
-    }
-
-    fn compute_abstract_expr(&mut self, id: ExprId, boxed: &IntBox) -> Range {
-        match self.expr_node(id).clone() {
+    /// Agrees with [`IntExpr::eval_abstract`].
+    pub fn eval_abstract_expr(&self, id: ExprId, boxed: &IntBox) -> Range {
+        match *self.expr_node(id) {
             ExprNode::Const(c) => Range::singleton(c),
             ExprNode::Var(i) => {
                 if i < boxed.arity() {
@@ -787,41 +640,14 @@ impl TermStore {
     }
 
     /// Abstract evaluation: three-valued truth of an interned predicate over every point of a
-    /// box. Deep predicates are memoized by `(id, box)`; shallow ones are recomputed directly.
-    /// Agrees with [`Pred::eval_abstract`] and inherits its soundness contract.
-    pub fn eval_abstract_pred(&mut self, id: PredId, boxed: &IntBox) -> TriBool {
-        let memoize = self.pred_depth(id) >= BOX_MEMO_MIN_DEPTH;
-        if memoize {
-            if let Some(&t) = self.tri_memo.get(&id).and_then(|per_box| per_box.get(boxed)) {
-                self.stats.tri_hits += 1;
-                return t;
-            }
-            self.stats.tri_misses += 1;
-        }
-        let result = if memoize {
-            anosy_telemetry::time("store.tri_compute", || self.compute_abstract_pred(id, boxed))
-        } else {
-            self.compute_abstract_pred(id, boxed)
-        };
-        if memoize {
-            if self.tri_memo_len >= BOX_MEMO_CAP {
-                self.tri_memo.clear();
-                self.tri_memo_len = 0;
-                self.stats.box_memo_evictions += 1;
-            }
-            self.tri_memo.entry(id).or_default().insert(boxed.clone(), result);
-            self.tri_memo_len += 1;
-        }
-        result
-    }
-
-    fn compute_abstract_pred(&mut self, id: PredId, boxed: &IntBox) -> TriBool {
-        match self.pred_shape(id) {
-            PredShape::True => TriBool::True,
-            PredShape::False => TriBool::False,
-            PredShape::Cmp(op, a, b) => {
-                let ra = self.eval_abstract_expr(a, boxed);
-                let rb = self.eval_abstract_expr(b, boxed);
+    /// box. Agrees with [`Pred::eval_abstract`] and inherits its soundness contract.
+    pub fn eval_abstract_pred(&self, id: PredId, boxed: &IntBox) -> TriBool {
+        match self.pred_node(id) {
+            PredNode::True => TriBool::True,
+            PredNode::False => TriBool::False,
+            PredNode::Cmp(op, a, b) => {
+                let ra = self.eval_abstract_expr(*a, boxed);
+                let rb = self.eval_abstract_expr(*b, boxed);
                 match op {
                     CmpOp::Le => ra.le(rb),
                     CmpOp::Lt => ra.lt(rb),
@@ -831,31 +657,21 @@ impl TermStore {
                     CmpOp::Ne => ra.eq_tri(rb).negate(),
                 }
             }
-            PredShape::Not(p) => self.eval_abstract_pred(p, boxed).negate(),
-            PredShape::And(len) => {
-                let mut acc = TriBool::True;
-                for i in 0..len {
-                    let child = self.pred_child(id, i);
-                    acc = acc.and(self.eval_abstract_pred(child, boxed));
-                }
-                acc
+            PredNode::Not(p) => self.eval_abstract_pred(*p, boxed).negate(),
+            PredNode::And(ps) => {
+                ps.iter().fold(TriBool::True, |acc, p| acc.and(self.eval_abstract_pred(*p, boxed)))
             }
-            PredShape::Or(len) => {
-                let mut acc = TriBool::False;
-                for i in 0..len {
-                    let child = self.pred_child(id, i);
-                    acc = acc.or(self.eval_abstract_pred(child, boxed));
-                }
-                acc
+            PredNode::Or(ps) => {
+                ps.iter().fold(TriBool::False, |acc, p| acc.or(self.eval_abstract_pred(*p, boxed)))
             }
-            PredShape::Implies(a, b) => {
-                let ra = self.eval_abstract_pred(a, boxed);
-                let rb = self.eval_abstract_pred(b, boxed);
+            PredNode::Implies(a, b) => {
+                let ra = self.eval_abstract_pred(*a, boxed);
+                let rb = self.eval_abstract_pred(*b, boxed);
                 ra.implies(rb)
             }
-            PredShape::Iff(a, b) => {
-                let ra = self.eval_abstract_pred(a, boxed);
-                let rb = self.eval_abstract_pred(b, boxed);
+            PredNode::Iff(a, b) => {
+                let ra = self.eval_abstract_pred(*a, boxed);
+                let rb = self.eval_abstract_pred(*b, boxed);
                 ra.implies(rb).and(rb.implies(ra))
             }
         }
@@ -1207,7 +1023,7 @@ mod tests {
     }
 
     /// A predicate of nesting depth ≥ `levels` (alternating connectives, so the depth really
-    /// grows): the shape whose abstract evaluation is worth memoizing.
+    /// grows).
     fn deep_pred(levels: i64) -> Pred {
         let mut pred = nearby(0, 0);
         for k in 1..levels {
@@ -1223,7 +1039,6 @@ mod tests {
     #[test]
     fn abstract_eval_agrees_with_trees_and_memoizes() {
         let mut store = TermStore::new();
-        // Deep enough (≥ BOX_MEMO_MIN_DEPTH) that the (id, box) memo tables engage.
         let pred = deep_pred(8);
         let id = store.intern_pred(&pred);
         let boxes = [
@@ -1234,61 +1049,6 @@ mod tests {
         for boxed in &boxes {
             assert_eq!(store.eval_abstract_pred(id, boxed), pred.eval_abstract(boxed));
         }
-        let misses = store.stats().tri_misses;
-        for boxed in &boxes {
-            assert_eq!(store.eval_abstract_pred(id, boxed), pred.eval_abstract(boxed));
-        }
-        assert_eq!(store.stats().tri_misses, misses, "second pass should be pure hits");
-        assert!(store.stats().tri_hits >= boxes.len() as u64);
-    }
-
-    #[test]
-    fn box_memo_gate_is_the_constant_depth_and_never_changes_results() {
-        // Terms shallower than BOX_MEMO_MIN_DEPTH are recomputed directly and never touch the
-        // (id, box) memo tables; terms at or above it miss once and then hit. Answers match the
-        // tree evaluator either way.
-        let boxed = IntBox::new(vec![Range::new(0, 300), Range::new(0, 300)]);
-        let mut store = TermStore::new();
-
-        // The boundary: an expression one level below the gate, compared at exactly the gate.
-        let mut below = store.mk_var(0);
-        for _ in 2..BOX_MEMO_MIN_DEPTH {
-            below = store.mk_neg(below);
-        }
-        let zero = store.mk_const(0);
-        let at_gate = store.mk_cmp(CmpOp::Le, below, zero);
-        let tree = store.expr_to_tree(below);
-        assert_eq!(store.eval_abstract_expr(below, &boxed), tree.eval_abstract(&boxed));
-        assert_eq!(store.eval_abstract_expr(below, &boxed), tree.eval_abstract(&boxed));
-        assert_eq!(store.stats().range_hits + store.stats().range_misses, 0);
-        let tree = store.pred_to_tree(at_gate);
-        assert_eq!(store.eval_abstract_pred(at_gate, &boxed), tree.eval_abstract(&boxed));
-        assert_eq!(store.eval_abstract_pred(at_gate, &boxed), tree.eval_abstract(&boxed));
-        assert_eq!((store.stats().tri_misses, store.stats().tri_hits), (1, 1));
-    }
-
-    #[test]
-    fn box_memo_counters_split_by_depth() {
-        // A shallow benchmark-shaped query is never memoized ...
-        let boxed = IntBox::new(vec![Range::new(0, 400), Range::new(0, 400)]);
-        let mut store = TermStore::new();
-        let shallow = nearby(200, 200);
-        let id = store.intern_pred(&shallow);
-        for _ in 0..2 {
-            assert_eq!(store.eval_abstract_pred(id, &boxed), shallow.eval_abstract(&boxed));
-        }
-        assert_eq!(store.stats().cache_hits(), 0);
-        assert_eq!(store.stats().range_misses + store.stats().tri_misses, 0);
-
-        // ... while a deep one misses, then hits.
-        let deep = deep_pred(8);
-        let id = store.intern_pred(&deep);
-        assert_eq!(store.eval_abstract_pred(id, &boxed), deep.eval_abstract(&boxed));
-        let misses = store.stats().tri_misses;
-        assert!(misses > 0);
-        assert_eq!(store.eval_abstract_pred(id, &boxed), deep.eval_abstract(&boxed));
-        assert_eq!(store.stats().tri_misses, misses);
-        assert!(store.stats().tri_hits > 0);
     }
 
     #[test]

@@ -220,15 +220,37 @@ proptest! {
         prop_assert_eq!(once, via_tree_id, "store and tree simplification must coincide");
     }
 
-    /// The store's memoized abstract evaluator matches the tree evaluator on singleton boxes
-    /// (where it must decide exactly like the concrete semantics).
+    /// The store's abstract evaluators match the tree evaluators on singleton boxes (where they
+    /// must decide exactly like the concrete semantics) and on wide boxes around the point
+    /// (where they must stay sound for it).
     #[test]
-    fn store_abstract_evaluation_agrees_on_points(p in arb_pred(3), point in arb_point()) {
+    fn store_abstract_evaluation_agrees_on_points(
+        p in arb_pred(3),
+        e in arb_expr(3),
+        point in arb_point(),
+        widths in proptest::collection::vec((0i64..=40, 0i64..=40), VARS..VARS + 1),
+    ) {
+        let mut store = TermStore::new();
+        let id = store.intern_pred(&p);
+        let eid = store.intern_expr(&e);
+        let wide = IntBox::new(
+            point
+                .iter()
+                .zip(&widths)
+                .map(|(x, &(below, above))| Range::new(x - below, x + above))
+                .collect(),
+        );
+        prop_assert_eq!(store.eval_abstract_pred(id, &wide), p.eval_abstract(&wide));
+        prop_assert_eq!(store.eval_abstract_expr(eid, &wide), e.eval_abstract(&wide));
+        if let Ok(v) = e.eval(&point) {
+            prop_assert!(store.eval_abstract_expr(eid, &wide).contains(v));
+        }
         if let Ok(expected) = p.eval(&point) {
-            let mut store = TermStore::new();
-            let id = store.intern_pred(&p);
             let boxed = singleton_box(&point);
             prop_assert_eq!(store.eval_abstract_pred(id, &boxed), p.eval_abstract(&boxed));
+            prop_assert_eq!(store.eval_abstract_expr(eid, &boxed), e.eval_abstract(&boxed));
+            let on_wide = store.eval_abstract_pred(id, &wide).to_option();
+            prop_assert!(on_wide.is_none_or(|t| t == expected));
             let simplified = store.simplify(id);
             prop_assert_eq!(store.eval_abstract_pred(simplified, &boxed).to_option(), Some(expected));
         }

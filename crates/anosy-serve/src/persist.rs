@@ -33,7 +33,7 @@ use crate::ServeError;
 use anosy_core::SharedCacheEntry;
 use anosy_logic::{parse_pred, SecretLayout};
 use anosy_synth::{decode_indsets, encode_indsets, parse_approx_kind, DomainCodec};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Magic prefix of the cache file; the version is bumped on any incompatible format change.
@@ -55,13 +55,6 @@ fn encode_layout(layout: &SecretLayout) -> Option<String> {
         tokens.push(format!("{name}:{}:{}", field.lo(), field.hi()));
     }
     Some(tokens.join(" "))
-}
-
-/// The `name:lo:hi` grammar is shared with the wire layer (`anosy-served --layout` speaks the
-/// same per-field form); [`crate::wire::parse_layout`] is the single parser for it.
-fn decode_layout(text: &str, line: usize) -> Result<SecretLayout, ServeError> {
-    crate::wire::parse_layout(text)
-        .ok_or_else(|| format_err(line, format!("malformed layout `{text}`")))
 }
 
 /// What a snapshot save ([`crate::Deployment::compact`]) accomplished: entries written, and
@@ -182,13 +175,9 @@ pub fn save_entries<D: DomainCodec>(
 /// Returns [`ServeError::Io`] on filesystem failures and [`ServeError::Format`] when the file's
 /// version, domain tag or any entry does not decode.
 pub fn load_entries<D: DomainCodec>(path: &Path) -> Result<Vec<SharedCacheEntry<D>>, ServeError> {
-    let file = std::fs::File::open(path)?;
-    let mut lines = BufReader::new(file).lines().enumerate();
-
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format_err(0, "empty cache file"))
-        .and_then(|(i, l)| l.map(|l| (i, l)).map_err(ServeError::Io))?;
+    let text = std::fs::read_to_string(path)?;
+    let mut lines = text.lines();
+    let header = lines.next().ok_or_else(|| format_err(0, "empty cache file"))?;
     let domain = header
         .strip_prefix(HEADER_PREFIX)
         .ok_or_else(|| format_err(1, format!("bad header `{header}`")))?;
@@ -199,59 +188,26 @@ pub fn load_entries<D: DomainCodec>(path: &Path) -> Result<Vec<SharedCacheEntry<
         ));
     }
 
-    let mut entries = Vec::new();
-    while let Some((index, line)) = lines.next() {
-        let line = line.map_err(ServeError::Io)?;
-        let lineno = index + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("entry ")
-            .ok_or_else(|| format_err(lineno, format!("expected `entry`, found `{line}`")))?;
-        let mut kind = None;
-        let mut members = None;
-        for token in rest.split_whitespace() {
-            if let Some(k) = token.strip_prefix("kind=") {
-                kind = parse_approx_kind(k);
-            } else if let Some(m) = token.strip_prefix("members=") {
-                members = Some(if m == "-" {
-                    None
-                } else {
-                    Some(m.parse().map_err(|_| format_err(lineno, "bad members count"))?)
-                });
+    // Split the body into entry bodies at `end` lines, each tagged with its first line number;
+    // blank lines between entries are skipped.
+    let mut bodies: Vec<(usize, String)> = Vec::new();
+    let mut open = false;
+    for (lineno, line) in (2..).zip(lines) {
+        if !open {
+            if line.trim().is_empty() {
+                continue;
             }
+            bodies.push((lineno, String::new()));
         }
-        let kind = kind.ok_or_else(|| format_err(lineno, "missing or bad kind"))?;
-        let members = members.ok_or_else(|| format_err(lineno, "missing members"))?;
-
-        let mut field = |prefix: &str| -> Result<(usize, String), ServeError> {
-            let (index, line) = lines
-                .next()
-                .ok_or_else(|| format_err(lineno, format!("truncated entry, wanted `{prefix}`")))?;
-            let line = line.map_err(ServeError::Io)?;
-            let lineno = index + 1;
-            line.strip_prefix(prefix)
-                .map(|rest| (lineno, rest.to_string()))
-                .ok_or_else(|| format_err(lineno, format!("expected `{prefix}`, found `{line}`")))
-        };
-        let (layout_line, layout_text) = field("layout ")?;
-        let (pred_line, pred_text) = field("pred ")?;
-        let (truthy_line, truthy_text) = field("truthy ")?;
-        let (falsy_line, falsy_text) = field("falsy ")?;
-        let (end_line, end_text) = field("end")?;
-        if !end_text.is_empty() {
-            return Err(format_err(end_line, "junk after `end`"));
-        }
-
-        let layout = decode_layout(&layout_text, layout_line)?;
-        let pred = parse_pred(&pred_text)
-            .map_err(|e| format_err(pred_line, format!("unparseable predicate: {e}")))?;
-        let indsets = decode_indsets::<D>(kind, &truthy_text, &falsy_text, &layout)
-            .ok_or_else(|| format_err(truthy_line.max(falsy_line), "undecodable ind. sets"))?;
-        entries.push(SharedCacheEntry { pred, layout, kind, members, indsets });
+        let (_, body) = bodies.last_mut().expect("pushed above");
+        body.push_str(line);
+        body.push('\n');
+        open = line != "end";
     }
-    Ok(entries)
+    bodies
+        .into_iter()
+        .map(|(lineno, body)| parse_entry(&body).map_err(|reason| format_err(lineno, reason)))
+        .collect()
 }
 
 #[cfg(test)]

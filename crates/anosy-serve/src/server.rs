@@ -783,12 +783,6 @@ where
         self.telemetry.as_ref()
     }
 
-    /// Consumes the server and returns its frontend (a [`crate::ReactorPool`] folds shard
-    /// frontends after the join).
-    pub fn into_frontend(self) -> Frontend<D> {
-        self.frontend
-    }
-
     /// Submitted requests and teardowns in submission order (empty unless
     /// [`ServerConfig::recording`]).
     pub fn transcript(&self) -> &[TranscriptEvent] {
@@ -984,10 +978,10 @@ enum Intake {
 /// Readiness-based: it parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and
 /// then services only the connections the kernel reported ready. Where epoll is unavailable —
 /// unsupported platform, or any registration error at runtime — it degrades to a sleep-scan
-/// loop (sleep `POLL_IDLE_SLEEP`, then scan every connection), so behavior is identical and
-/// only idle latency differs. The reactor on top is a pure function of the event sequence, so
-/// responses are byte-identical across the epoll and fallback paths (asserted in
-/// `tests/multi_reactor.rs`).
+/// loop (sleep `POLL_IDLE_SLEEP`, then scan every connection). The reactor on top is a pure
+/// function of the event sequence, so the two paths should differ only in idle latency, never
+/// in response bytes. That is argued, not tested: the socket tests (`tests/wire_smoke.rs`,
+/// `tests/multi_reactor.rs`) run the epoll path on Linux, and no test forces the fallback.
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
@@ -1083,11 +1077,6 @@ impl PollTransport {
                 "a pool-shard transport owns no listener",
             )),
         }
-    }
-
-    /// Whether readiness waits actually ride epoll (`false`: the portable sleep fallback).
-    pub fn uses_epoll(&self) -> bool {
-        self.epoll.is_some()
     }
 
     fn accepting(&self) -> bool {

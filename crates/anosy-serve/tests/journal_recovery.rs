@@ -1,5 +1,5 @@
-//! Crash/warm-restart chaos: a journaled deployment is killed mid-storm (dropped without any
-//! `SaveCache`), warm-restarted from snapshot + journal, and must then serve the *full* storm
+//! Crash/warm-restart chaos: a journaled deployment is killed mid-storm (dropped without a
+//! compaction), warm-restarted from snapshot + journal, and must then serve the *full* storm
 //! element-wise identically to the uninterrupted sequential oracle — with **zero re-synthesis**
 //! for every query journaled before the kill.
 //!
@@ -148,7 +148,7 @@ fn killed_mid_storm_warm_restarts_without_resynthesis() {
     assert_eq!(first.stats().cache.synth_misses, 2, "the first life synthesized the storm");
     assert_eq!(first.journal_stats().appended, 2, "both commits were journaled as they landed");
     drop(server);
-    drop(first); // the kill: no SaveCache, no save-on-exit
+    drop(first); // the kill: no compaction, no clean shutdown
 
     // Second life: snapshotless recovery — the journal alone restores the cache.
     let second = journaled_deployment(&config);

@@ -24,9 +24,8 @@
 //!
 //! Internally every search operates on the solver's hash-consed
 //! [`TermStore`](anosy_logic::TermStore): predicates are interned once per solver (O(1) equality
-//! and hashing by [`PredId`](anosy_logic::PredId)), normalization/negation are memoized, and the
-//! interval range analyses behind constraint propagation are cached by `(term, box)` and reused
-//! across search nodes and across queries. [`Solver::store_stats`] surfaces the hit/miss
+//! and hashing by [`PredId`](anosy_logic::PredId)), and normalization/negation are memoized and
+//! reused across search nodes and across queries. [`Solver::store_stats`] surfaces the hit/miss
 //! counters; [`Solver::intern_simplified`] exposes the canonical id of a predicate so callers
 //! (synthesizer, verifier) can deduplicate candidate terms by id instead of deep comparison.
 //!

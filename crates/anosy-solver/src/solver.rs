@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 /// Budget-tracking context threaded through every search.
 ///
 /// Besides the node/time budgets it carries the solver's [`TermStore`], so every procedure
-/// works on interned ids and the store's memoized range analyses are shared across search nodes
+/// works on interned ids and the store's memoized simplification is shared across search nodes
 /// (and across queries: the store lives as long as the [`Solver`]).
 pub(crate) struct SearchCtx<'a> {
     config: &'a SolverConfig,
@@ -91,9 +91,9 @@ impl Solver {
     ///
     /// This is the shard constructor of the parallel solver driver: every worker of a sharded
     /// search is seeded with a snapshot of one shared store, so the interned ids (and the warmed
-    /// simplify/NNF memo tables) of the predicate under search remain valid in all workers while
-    /// each worker's `(id, box)` memos grow privately, without locks. Merge the shards'
-    /// search effort back with [`Solver::absorb_stats`].
+    /// simplify/NNF memo tables) of the predicate under search remain valid in all workers, and
+    /// each worker's arena grows privately, without locks. Merge the shards' search effort back
+    /// with [`Solver::absorb_stats`].
     pub fn with_store(config: SolverConfig, store: TermStore) -> Self {
         Solver { config, stats: SolverStats::new(), store }
     }
@@ -122,7 +122,7 @@ impl Solver {
     }
 
     /// Hit/miss counters of the solver's [`TermStore`] memo tables (interning dedup, memoized
-    /// simplification, free variables and range analyses).
+    /// simplification and free variables).
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }

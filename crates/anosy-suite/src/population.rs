@@ -467,17 +467,6 @@ impl Population {
         format!("{:?}", self)
     }
 
-    /// Total protocol requests the population will issue (opens + actions + clean closes).
-    pub fn total_requests(&self) -> usize {
-        self.tenants
-            .iter()
-            .map(|t| {
-                let actions: usize = t.bursts.iter().map(Vec::len).sum();
-                1 + actions + usize::from(t.exit == Exit::Clean)
-            })
-            .sum()
-    }
-
     /// Number of tenants per [`Exit`] shape `(clean, abandon, linger)`.
     pub fn exit_profile(&self) -> (usize, usize, usize) {
         let mut profile = (0, 0, 0);

@@ -56,7 +56,7 @@ impl Synthesizer {
     }
 
     /// Hit/miss counters of the solver's term-store memo tables (interning dedup, memoized
-    /// simplification and range analyses) accumulated across synthesis calls.
+    /// simplification and free variables) accumulated across synthesis calls.
     pub fn store_stats(&self) -> StoreStats {
         self.solver.store_stats()
     }

@@ -668,20 +668,6 @@ pub fn observe(name: &'static str, value: u64) {
     with_collector(|collector| collector.observe(name, value));
 }
 
-/// Runs `f`, recording its duration (collector clock units) into the named histogram. Without
-/// a collector `f` runs untimed — no clock is read at all.
-pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let start = with_collector(|collector| collector.now());
-    let result = f();
-    if let Some(start) = start {
-        with_collector(|collector| {
-            let elapsed = collector.now().saturating_sub(start);
-            collector.observe(name, elapsed);
-        });
-    }
-    result
-}
-
 // ---------------------------------------------------------------------------
 // Rendering and merging
 // ---------------------------------------------------------------------------
@@ -904,13 +890,11 @@ mod tests {
 
     #[test]
     fn without_a_collector_everything_is_inert() {
-        // No install on this thread: guards, counters and timers all no-op.
+        // No install on this thread: guards and counters all no-op.
         assert!(!active());
         let _guard = span("nobody.listens");
         count("nobody", 1);
         observe("nobody", 1);
-        let out = time("nobody", || 42);
-        assert_eq!(out, 42);
         assert_eq!(snapshot(), None);
     }
 }

@@ -345,6 +345,52 @@ mod tests {
         assert!(text.contains("under-approximation"));
     }
 
+    /// Every Figure 5 row at the default configuration: `(id, kind, true size, false size)`,
+    /// all verified. The interval rows equal `BENCH_seed.json`.
+    #[test]
+    fn fig5_sizes_are_pinned_at_the_default_config() {
+        use ApproxKind::{Over, Under};
+        let intervals = [
+            ("B1", Under, 259, 9620),
+            ("B1", Over, 259, 13505),
+            ("B2", Under, 32568, 5000000),
+            ("B2", Over, 9030025, 25000000),
+            ("B3", Under, 4, 664),
+            ("B3", Over, 4, 888),
+            ("B4", Under, 13521040020, 17612455914000),
+            ("B4", Over, 13521040020, 27988923060666),
+            ("B5", Under, 752, 5040000),
+            ("B5", Over, 113552, 6720000),
+        ];
+        let powerset3 = [
+            ("B1", Under, 259, 13246),
+            ("B1", Over, 259, 13246),
+            ("B2", Under, 61825, 5960000),
+            ("B2", Over, 8331555, 24943037),
+            ("B3", Under, 4, 872),
+            ("B3", Over, 4, 884),
+            ("B4", Under, 13521040020, 27022945638604),
+            ("B4", Over, 13521040020, 27975402020646),
+            ("B5", Under, 2256, 5326160),
+            ("B5", Over, 40608, 6718496),
+        ];
+        let config = SynthConfig::default();
+        for (domain, expected) in
+            [(Fig5Domain::Intervals, intervals), (Fig5Domain::Powersets(3), powerset3)]
+        {
+            let got: Vec<_> = fig5(domain, &config)
+                .into_iter()
+                .map(|r| {
+                    assert!(r.verified, "{domain:?} {} {:?} failed verification", r.id, r.kind);
+                    (r.id, r.kind, r.sizes.0, r.sizes.1)
+                })
+                .collect();
+            let expected: Vec<_> =
+                expected.iter().map(|&(id, kind, t, f)| (id.to_string(), kind, t, f)).collect();
+            assert_eq!(got, expected, "{domain:?}");
+        }
+    }
+
     #[test]
     fn fig5_json_has_one_object_per_row_and_parseable_shape() {
         let rows = vec![Fig5Row {
